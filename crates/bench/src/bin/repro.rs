@@ -55,9 +55,10 @@ use pc_bench::experiments::{self as exp, Scale};
 use std::time::Instant;
 
 fn main() {
-    // Honor PC_FAULT for any subcommand (panics on an invalid spec):
-    // an armed run is an explicitly broken simulator, which is exactly
-    // what `fault-matrix` quantifies and what PC_BLESS refuses.
+    check_env();
+    // Honor PC_FAULT for any subcommand (validated above): an armed run
+    // is an explicitly broken simulator, which is exactly what
+    // `fault-matrix` quantifies and what PC_BLESS refuses.
     pc_cache::fault::arm_from_env();
     let mut scale = Scale::Quick;
     let mut smoke = false;
@@ -114,15 +115,13 @@ fn main() {
                 let v = args
                     .next()
                     .unwrap_or_else(|| die("--queues needs a queue count"));
-                match v.parse::<usize>() {
-                    Ok(n) if (1..=pc_nic::MAX_RSS_QUEUES).contains(&n) => {
-                        std::env::set_var("PC_RSS_QUEUES", v);
-                    }
-                    _ => die(&format!(
+                if !is_queue_count(&v) {
+                    die(&format!(
                         "--queues needs 1..={} rx queues",
                         pc_nic::MAX_RSS_QUEUES
-                    )),
+                    ));
                 }
+                std::env::set_var("PC_RSS_QUEUES", v);
             }
             "-h" | "--help" => {
                 println!("usage: repro [--full] [--smoke] [--seed N] [--rx-engine E] [--queues N] <experiment|all|bench-cache>");
@@ -237,6 +236,41 @@ fn main() {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// Rejects a malformed `PC_FAULT`, `PC_RX_ENGINE` or `PC_RSS_QUEUES`
+/// up front with exit 2, using the parsers the library readers use.
+/// The readers themselves keep panicking (a bad value must never fall
+/// back silently), but from a user's shell that panic would surface
+/// late, possibly on a worker thread.
+fn check_env() {
+    let var = |name| std::env::var(name).ok();
+    if let Some(v) = var("PC_FAULT") {
+        if let Err(e) = pc_cache::fault::FaultSpec::parse(&v) {
+            die(&format!("invalid PC_FAULT: {e}"));
+        }
+    }
+    if let Some(v) = var("PC_RX_ENGINE") {
+        if pc_core::RxEngine::parse(&v).is_none() {
+            die(&format!(
+                "PC_RX_ENGINE must be batched|per-frame|per-access, got `{v}`"
+            ));
+        }
+    }
+    if let Some(v) = var("PC_RSS_QUEUES") {
+        if !is_queue_count(&v) {
+            die(&format!(
+                "PC_RSS_QUEUES must be 1..={}, got `{v}`",
+                pc_nic::MAX_RSS_QUEUES
+            ));
+        }
+    }
+}
+
+/// An rx queue count `TestBed` accepts: `1..=MAX_RSS_QUEUES`.
+fn is_queue_count(v: &str) -> bool {
+    v.parse::<usize>()
+        .is_ok_and(|n| (1..=pc_nic::MAX_RSS_QUEUES).contains(&n))
 }
 
 fn run_fleet_cmd(tenants: usize, scale: Scale, seed: u64) {

@@ -11,14 +11,17 @@
 //! up as a timeout and self-corrects by peeking at the other half.
 
 use crate::testbed::TestBed;
-use pc_cache::{Cycles, Hierarchy, PhysAddr, SlicedCache};
+use pc_cache::{Cycles, Hierarchy, PhysAddr, SliceSet, SlicedCache};
 use pc_nic::IgbDriver;
-use pc_probe::{oracle_eviction_sets, AddressPool, EvictionSet, PrimeProbe};
+use pc_probe::{oracle_eviction_sets, AddressPool, PrimeProbe};
 
 /// Blocks probed per half-page: blocks 0..5. Block 4's set distinguishes
 /// "exactly 4 blocks" (≤ copybreak, buffer reused in place) from
 /// "5 or more" (> copybreak, the buffer flips halves).
 pub const TRACKED_BLOCKS: usize = 5;
+
+/// First block of each half-page: the driver's two 2 KiB buffers per page.
+const HALF_STARTS: [u64; 2] = [0, 32];
 
 /// Size classes reported to the attack: 1, 2, 3 or 4 ("4 or more").
 pub const WATCHED_BLOCKS: usize = 4;
@@ -123,6 +126,10 @@ impl ChasingSpy {
 
     /// Sets up probes for an explicit page list in ring order.
     ///
+    /// All `2 × TRACKED_BLOCKS` targets of every page go to **one**
+    /// [`oracle_eviction_sets`] call (it costs a pass over the pool per
+    /// call), and the sets are split back into buffers in target order.
+    ///
     /// # Panics
     ///
     /// Panics if `pages` is empty or the pool is too small (see
@@ -130,19 +137,23 @@ impl ChasingSpy {
     pub fn for_pages(llc: &SlicedCache, pool: &AddressPool, pages: &[PhysAddr]) -> Self {
         assert!(!pages.is_empty(), "spy needs at least one buffer to chase");
         let threshold = pc_cache::LatencyModel::server_defaults().miss_threshold();
+        // Target order: page, then half-page, then block.
+        let targets: Vec<SliceSet> = pages
+            .iter()
+            .flat_map(|page| {
+                HALF_STARTS.into_iter().flat_map(move |half_start| {
+                    (0..TRACKED_BLOCKS as u64).map(move |b| page.add_blocks(half_start + b))
+                })
+            })
+            .map(|a| llc.locate(a))
+            .collect();
+        let mut probes = oracle_eviction_sets(llc, pool, &targets)
+            .into_iter()
+            .map(|s| PrimeProbe::new(s, threshold));
         let buffers: Vec<BufferProbes> = pages
             .iter()
-            .map(|page| {
-                let halves = [0u64, 32].map(|half_start| {
-                    let targets: Vec<_> = (0..TRACKED_BLOCKS as u64)
-                        .map(|b| llc.locate(page.add_blocks(half_start + b)))
-                        .collect();
-                    let sets: Vec<EvictionSet> = oracle_eviction_sets(llc, pool, &targets);
-                    sets.into_iter()
-                        .map(|s| PrimeProbe::new(s, threshold))
-                        .collect()
-                });
-                BufferProbes { halves }
+            .map(|_| BufferProbes {
+                halves: HALF_STARTS.map(|_| probes.by_ref().take(TRACKED_BLOCKS).collect()),
             })
             .collect();
         let armed = vec![0u8; buffers.len()];
@@ -308,6 +319,29 @@ mod tests {
         let mut cfg = TestBedConfig::paper_baseline().with_seed(seed);
         cfg.driver.ring_size = ring;
         TestBed::new(cfg)
+    }
+
+    #[test]
+    fn probes_watch_each_buffers_own_blocks() {
+        // One batched oracle call is split back into buffers: every probe
+        // must land on its own page, half and block.
+        let tb = small_ring_bed(8, 20);
+        let llc = tb.hierarchy().llc();
+        let pool = AddressPool::allocate(90, 16384);
+        let spy = ChasingSpy::for_ring(llc, &pool, tb.driver());
+        let pages = tb.driver().ring().page_addresses();
+        assert_eq!(spy.buffers.len(), pages.len());
+        for (buffer, page) in spy.buffers.iter().zip(&pages) {
+            for (half, half_start) in HALF_STARTS.into_iter().enumerate() {
+                assert_eq!(buffer.halves[half].len(), TRACKED_BLOCKS);
+                for (b, probe) in buffer.halves[half].iter().enumerate() {
+                    let want = llc.locate(page.add_blocks(half_start + b as u64));
+                    for &a in probe.eviction_set().addresses() {
+                        assert_eq!(llc.locate(a), want, "page {page:?} half {half} block {b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

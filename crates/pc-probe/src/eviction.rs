@@ -151,7 +151,13 @@ pub fn build_eviction_sets_for_index(
 ///
 /// Uses the cache's slice hash directly, so it is **instrumentation, not
 /// attack code** — the equivalent of the paper's one-time offline phase
-/// being precomputed. Returns one set per requested target, in order.
+/// being precomputed. Returns one set per requested target, in order:
+/// the first `ways` pool addresses (in pool order) at the target's set
+/// index that hash to its slice.
+///
+/// Cost: one pass over the pool per call to group it by set index, then
+/// a walk of one group per target — so callers batch all their targets
+/// into one call rather than calling once per target.
 ///
 /// # Panics
 ///
@@ -164,13 +170,14 @@ pub fn oracle_eviction_sets(
 ) -> Vec<EvictionSet> {
     let geom = llc.geometry();
     let ways = geom.ways();
+    let hash = llc.slice_hash();
+    let by_index = pool.pages_by_index(&geom);
     targets
         .iter()
         .map(|t| {
-            let addrs: Vec<PhysAddr> = pool
-                .addresses_with_index(&geom, t.set)
-                .into_iter()
-                .filter(|a| llc.slice_hash().slice_of(*a) == t.slice)
+            let addrs: Vec<PhysAddr> = by_index
+                .addresses(t.set)
+                .filter(|a| hash.slice_of(*a) == t.slice)
                 .take(ways)
                 .collect();
             assert!(

@@ -19,7 +19,8 @@
 //!   *setup* (clearly marked; used where the paper also relies on a
 //!   one-time offline phase, so that paper-scale experiments run in
 //!   seconds — the timing-based builder is exercised by its own tests and
-//!   benches).
+//!   benches). Each call makes one pass over the pool, so callers batch
+//!   all their targets into one call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

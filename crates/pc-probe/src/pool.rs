@@ -5,7 +5,7 @@
 //! remains opaque. We model the same knowledge boundary: the pool exposes
 //! addresses *grouped by set index* but nothing about slices.
 
-use pc_cache::{CacheGeometry, PhysAddr, PAGE_SIZE};
+use pc_cache::{CacheGeometry, PhysAddr, LINE_SIZE, PAGE_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -33,6 +33,28 @@ pub struct AddressPool {
 const ATTACKER_FIRST_PAGE: u64 = 1 << 23;
 /// Size of the attacker's region in pages.
 const ATTACKER_REGION_PAGES: u64 = 1 << 21;
+/// A page covers this many consecutive set indices, starting at its
+/// base's index (a multiple of it).
+const LINES_PER_PAGE: usize = PAGE_SIZE / LINE_SIZE;
+
+/// The pool's pages grouped by the set index of their base, each group
+/// in pool order — one pass over the pool answers every set index.
+pub(crate) struct PagesByIndex {
+    sets_per_slice: usize,
+    groups: Vec<Vec<PhysAddr>>,
+}
+
+impl PagesByIndex {
+    /// [`AddressPool::addresses_with_index`] from the grouping: a walk of
+    /// one group, with no pass over the pool.
+    pub(crate) fn addresses(&self, set_index: usize) -> impl Iterator<Item = PhysAddr> + '_ {
+        assert!(set_index < self.sets_per_slice, "set index out of range");
+        let in_page = (set_index % LINES_PER_PAGE) as u64;
+        self.groups[set_index / LINES_PER_PAGE]
+            .iter()
+            .map(move |p| p.add_blocks(in_page))
+    }
+}
 
 impl AddressPool {
     /// Allocates `n_pages` unique pages.
@@ -69,22 +91,34 @@ impl AddressPool {
         &self.pages
     }
 
-    /// Every owned address whose set index equals `set_index`.
+    /// Every owned address whose set index equals `set_index`, in pool
+    /// order.
     ///
     /// For page-aligned set indices these are page bases; for other
     /// indices they are page bases plus the right line offset — the same
     /// trick the spy uses to monitor blocks 1..3 of the NIC buffers.
+    ///
+    /// Cost: one pass over the whole pool per call, whatever the index.
+    /// Code that needs many indices groups the pool once instead (as
+    /// [`crate::oracle_eviction_sets`] does for its whole target list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set_index` is not below the geometry's sets per slice.
     pub fn addresses_with_index(&self, geom: &CacheGeometry, set_index: usize) -> Vec<PhysAddr> {
-        assert!(set_index < geom.sets_per_slice(), "set index out of range");
-        // A page covers 64 consecutive set indices starting at a multiple
-        // of 64; address = page_base + in_page_line*64 matches set_index
-        // iff the page's base index covers it.
-        let in_page = (set_index % 64) as u64;
-        self.pages
-            .iter()
-            .filter(|p| geom.set_index(**p) == set_index - (set_index % 64))
-            .map(|p| p.add_blocks(in_page))
-            .collect()
+        self.pages_by_index(geom).addresses(set_index).collect()
+    }
+
+    /// Groups the pages by the set index of their base, in one pass.
+    pub(crate) fn pages_by_index(&self, geom: &CacheGeometry) -> PagesByIndex {
+        let mut groups = vec![Vec::new(); geom.page_aligned_sets_per_slice()];
+        for &p in &self.pages {
+            groups[geom.set_index(p) / LINES_PER_PAGE].push(p);
+        }
+        PagesByIndex {
+            sets_per_slice: geom.sets_per_slice(),
+            groups,
+        }
     }
 }
 

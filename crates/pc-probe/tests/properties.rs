@@ -11,18 +11,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Oracle eviction sets are always homogeneous (one slice-set),
-    /// exactly `ways` long, and drawn from the pool.
+    /// exactly `ways` long, and drawn from the pool: each is the naive
+    /// definition — the pool's lines at the target's (slice, set), in
+    /// pool order, first `ways` of them — and a batched call returns
+    /// exactly what one call per target would.
     #[test]
-    fn oracle_sets_are_well_formed(slice in 0usize..8, idx in 0usize..32, seed in 0u64..100) {
+    fn oracle_sets_are_well_formed(
+        targets in proptest::collection::vec((0usize..8, 0usize..2048), 1..6),
+        seed in 0u64..100,
+    ) {
         let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+        let ways = h.llc().geometry().ways();
         let pool = AddressPool::allocate(seed, 12288);
-        let target = SliceSet::new(slice, idx * 64);
-        let sets = oracle_eviction_sets(h.llc(), &pool, &[target]);
-        let set = &sets[0];
-        prop_assert_eq!(set.len(), 20);
-        for &a in set.addresses() {
-            prop_assert_eq!(h.llc().locate(a), target);
-            prop_assert!(pool.pages().contains(&a.page_base()));
+        let targets: Vec<SliceSet> =
+            targets.into_iter().map(|(slice, set)| SliceSet::new(slice, set)).collect();
+        let sets = oracle_eviction_sets(h.llc(), &pool, &targets);
+        prop_assert_eq!(sets.len(), targets.len());
+        for (set, &target) in sets.iter().zip(&targets) {
+            let naive: Vec<PhysAddr> = pool
+                .pages()
+                .iter()
+                .flat_map(|p| (0..64).map(move |line| p.add_blocks(line)))
+                .filter(|&a| h.llc().locate(a) == target)
+                .take(ways)
+                .collect();
+            prop_assert_eq!(set.addresses(), &naive[..]);
+            prop_assert_eq!(set.len(), ways);
+            let single = oracle_eviction_sets(h.llc(), &pool, &[target]);
+            prop_assert_eq!(&single[..], std::slice::from_ref(set));
         }
     }
 
