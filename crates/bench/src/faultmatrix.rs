@@ -35,7 +35,10 @@
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
 //!   every other scenario combined and the sites it could kill are
-//!   already covered by the cheaper suites).
+//!   already covered by the cheaper suites). It is the only detector
+//!   that exercises `partial-reset`: the workload scenarios reset one
+//!   machine across their mode rows, and every other suite builds its
+//!   machines fresh.
 //!
 //! A negative control runs first: with nothing armed, all five suites
 //! must stay silent, pinning that the matrix only ever reports

@@ -890,15 +890,27 @@ impl TenantMetrics {
     }
 }
 
-/// Per-worker machine cache for tenant runs: one TestBed and one
-/// Workbench, reset (not rebuilt) between tenants so thousands of
-/// tenant runs pay clears instead of allocations. An allocation cache,
-/// not state — `TestBed::reset` / `Workbench::reset_paper_machine`
-/// pin a reused machine byte-identical to a fresh one.
+/// Per-worker machine cache for tenant runs. It holds at most one
+/// machine, a TestBed or a Workbench, and its type rules out holding
+/// both. A tenant of the held kind resets that machine in place
+/// (`TestBed::reset` / `Workbench::reset_paper_machine`: the simulated
+/// LLC's storage is reused, so the tenant pays clears, not
+/// allocations); a tenant of the other kind drops it before building
+/// its own. A worker thus keeps one simulated LLC alive, never two.
+/// An allocation cache, not state: a reset pins a reused machine
+/// byte-identical to a fresh one.
 #[derive(Default)]
 pub struct TenantScratch {
-    bed: Option<TestBed>,
-    bench: Option<Workbench>,
+    machine: Machine,
+}
+
+/// The machine a [`TenantScratch`] holds.
+#[derive(Default)]
+enum Machine {
+    #[default]
+    Empty,
+    Bed(TestBed),
+    Bench(Workbench),
 }
 
 impl TenantScratch {
@@ -909,24 +921,34 @@ impl TenantScratch {
 
     /// The scratch TestBed, reset for `cfg`.
     fn bed(&mut self, cfg: TestBedConfig) -> &mut TestBed {
-        match &mut self.bed {
-            Some(bed) => {
-                bed.reset(cfg);
-                self.bed.as_mut().expect("just matched")
+        match &mut self.machine {
+            Machine::Bed(bed) => bed.reset(cfg),
+            other => {
+                // Drop the held machine before building, so two never
+                // coexist.
+                *other = Machine::Empty;
+                *other = Machine::Bed(TestBed::new(cfg));
             }
-            None => self.bed.insert(TestBed::new(cfg)),
         }
+        let Machine::Bed(bed) = &mut self.machine else {
+            unreachable!("a bed was just reset or built")
+        };
+        bed
     }
 
     /// The scratch Workbench, reset to the paper machine in `mode`.
     fn bench(&mut self, mode: DdioMode, seed: u64) -> &mut Workbench {
-        match &mut self.bench {
-            Some(bench) => {
-                bench.reset_paper_machine(mode, seed);
-                self.bench.as_mut().expect("just matched")
+        match &mut self.machine {
+            Machine::Bench(bench) => bench.reset_paper_machine(mode, seed),
+            other => {
+                *other = Machine::Empty;
+                *other = Machine::Bench(Workbench::paper_machine(mode, seed));
             }
-            None => self.bench.insert(Workbench::paper_machine(mode, seed)),
         }
+        let Machine::Bench(bench) = &mut self.machine else {
+            unreachable!("a bench was just reset or built")
+        };
+        bench
     }
 }
 
@@ -1267,23 +1289,35 @@ mod tests {
 
     #[test]
     fn tenant_runs_are_deterministic_and_scratch_invariant() {
-        // A tenant on a dirty scratch (just ran a different template)
-        // must produce the same metrics as one on a fresh scratch.
-        let tcp = find("tcp-recv")
-            .expect("registered")
-            .clone()
-            .with_units(400, 400);
-        let copy = find("file-copy")
-            .expect("registered")
-            .clone()
-            .with_units(1, 1);
+        // A tenant on a dirty scratch (it just ran a different template,
+        // of the same or the other machine kind) must produce the same
+        // metrics as one on a fresh scratch. The sequence alternates
+        // bench- and bed-kind tenants, so each one either resets the
+        // held machine or replaces it.
+        let spec = |name: &str, units: u64| {
+            find(name)
+                .expect("registered")
+                .clone()
+                .with_units(units, units)
+        };
+        let copy = spec("file-copy", 1);
+        let kv = spec("kv-store", 300);
+        let tcp = spec("tcp-recv", 400);
+        let web = spec("web-mix", 6);
         let mut dirty = TenantScratch::new();
         copy.run_tenant(Scale::Quick, 3, &mut dirty)
             .expect("workload tenant");
+        // bench reset, bench → bed, bed → bench, bench → bed, bed reset
+        for (s, seed) in [(&copy, 4), (&kv, 5), (&tcp, 9), (&web, 6), (&kv, 7)] {
+            let a = s
+                .run_tenant(Scale::Quick, seed, &mut dirty)
+                .expect("tenant");
+            let b = s
+                .run_tenant(Scale::Quick, seed, &mut TenantScratch::new())
+                .expect("tenant");
+            assert_eq!(a, b, "{}: scratch reuse must not leak state", s.name());
+        }
         let a = tcp.run_tenant(Scale::Quick, 9, &mut dirty).expect("tenant");
-        let mut fresh = TenantScratch::new();
-        let b = tcp.run_tenant(Scale::Quick, 9, &mut fresh).expect("tenant");
-        assert_eq!(a, b, "scratch reuse must not leak state");
         assert_eq!(a.unit, "packets");
         assert_eq!(a.units, 400);
         assert!(a.units_per_second() > 0.0);

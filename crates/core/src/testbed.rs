@@ -418,14 +418,11 @@ pub struct TestBed {
 }
 
 impl TestBed {
-    /// The seeded machine parts: hierarchy and per-queue driver
-    /// streams — one definition shared by [`TestBed::new`] and
-    /// [`TestBed::reset`] so a reused bed can never drift from a
-    /// freshly built one.
-    fn build(cfg: &TestBedConfig) -> (Hierarchy, Vec<RxQueue>) {
-        let llc = pc_cache::SlicedCache::new(cfg.geometry, cfg.ddio);
-        let h = Hierarchy::with_llc(llc).with_latencies(cfg.latencies);
-        let queues = (0..cfg.rss_queues)
+    /// The seeded per-queue driver streams — one definition shared by
+    /// [`TestBed::new`] and [`TestBed::reset`] so a reused bed can
+    /// never drift from a freshly built one.
+    fn build_queues(cfg: &TestBedConfig) -> Vec<RxQueue> {
+        (0..cfg.rss_queues)
             .map(|q| {
                 // Queue 0 keeps the bed's historical streams exactly —
                 // not `stream_seed(seed, Queue, 0)` — so every pre-RSS
@@ -444,17 +441,16 @@ impl TestBed {
                     rng,
                 }
             })
-            .collect();
-        (h, queues)
+            .collect()
     }
 
     /// Builds the machine.
     pub fn new(cfg: TestBedConfig) -> Self {
-        let (h, queues) = TestBed::build(&cfg);
+        let llc = pc_cache::SlicedCache::new(cfg.geometry, cfg.ddio);
         TestBed {
-            h,
+            h: Hierarchy::with_llc(llc).with_latencies(cfg.latencies),
             rss: RssConfig::new(cfg.rss_queues, cfg.seed),
-            queues,
+            queues: TestBed::build_queues(&cfg),
             pending: VecDeque::new(),
             records: Vec::new(),
             record_rx: cfg.record_rx,
@@ -468,16 +464,17 @@ impl TestBed {
     }
 
     /// Rebuilds this bed in place for `cfg`, behaviourally identical to
-    /// `*self = TestBed::new(cfg)` but keeping the heap capacity of the
-    /// bed's queues and scratch buffers. The fleet driver runs
-    /// thousands of tenants per worker thread; resetting one bed per
-    /// worker instead of building one per tenant keeps the per-tenant
-    /// setup cost at clears rather than allocations.
+    /// `*self = TestBed::new(cfg)`. The hierarchy is reset in place
+    /// ([`Hierarchy::reset`]: the simulated LLC's storage is reused, so
+    /// a same-geometry reset costs clears, not allocations) and the
+    /// scratch buffers keep their capacity; the per-queue drivers are
+    /// rebuilt from the seed. The fleet driver runs thousands of
+    /// tenants per worker thread on one reused machine this way.
     pub fn reset(&mut self, cfg: TestBedConfig) {
-        let (h, queues) = TestBed::build(&cfg);
-        self.h = h;
+        self.h.reset(cfg.geometry, cfg.ddio);
+        self.h.set_latencies(cfg.latencies);
         self.rss = RssConfig::new(cfg.rss_queues, cfg.seed);
-        self.queues = queues;
+        self.queues = TestBed::build_queues(&cfg);
         self.pending.clear();
         self.records.clear();
         self.record_rx = cfg.record_rx;

@@ -160,11 +160,17 @@ pub enum FaultSite {
     /// steer-only (`pc-nic`'s `rss.rs`), and inert at queue count 1
     /// (`(q+1) % 1 == q`), so armed single-queue runs stay byte-exact.
     SwappedQueueSteer,
+    /// [`crate::SlicedCache::reset`] leaves the first keyed set of each
+    /// shard holding its lines (and the occupancy counts describing
+    /// them) — a reused machine starts with stale residents a freshly
+    /// built one never has. Keyed on the slice-local set index;
+    /// lexically reset-only (fresh builds and replay never consult it).
+    PartialReset,
 }
 
 impl FaultSite {
     /// Every catalog entry, in matrix order.
-    pub const ALL: [FaultSite; 15] = [
+    pub const ALL: [FaultSite; 16] = [
         FaultSite::StatOffByOne,
         FaultSite::DroppedFlush,
         FaultSite::StaleLru,
@@ -180,6 +186,7 @@ impl FaultSite {
         FaultSite::StaleDeferredSegmentIndex,
         FaultSite::CrossEpochMisclassify,
         FaultSite::SwappedQueueSteer,
+        FaultSite::PartialReset,
     ];
 
     /// The site's kebab-case name (the `PC_FAULT` spelling).
@@ -200,6 +207,7 @@ impl FaultSite {
             FaultSite::StaleDeferredSegmentIndex => "stale-deferred-segment-index",
             FaultSite::CrossEpochMisclassify => "cross-epoch-misclassify",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
+            FaultSite::PartialReset => "partial-reset",
         }
     }
 
@@ -234,7 +242,8 @@ impl FaultSite {
             | FaultSite::SwappedSegmentSubtotal
             | FaultSite::StaleDeferredSegmentIndex
             | FaultSite::CrossEpochMisclassify
-            | FaultSite::SwappedQueueSteer => FiringKind::Keyed,
+            | FaultSite::SwappedQueueSteer
+            | FaultSite::PartialReset => FiringKind::Keyed,
         }
     }
 
@@ -275,6 +284,7 @@ impl FaultSite {
                 "fused monitor sample inverts one target's classification"
             }
             FaultSite::SwappedQueueSteer => "RSS steer routes a flow to the next queue",
+            FaultSite::PartialReset => "cache reset leaves one set's lines in place",
         }
     }
 

@@ -113,8 +113,40 @@ impl Hierarchy {
 
     /// Overrides the latency model (builder style).
     pub fn with_latencies(mut self, lat: LatencyModel) -> Self {
-        self.lat = lat;
+        self.set_latencies(lat);
         self
+    }
+
+    /// Overrides the latency model in place.
+    pub fn set_latencies(&mut self, lat: LatencyModel) {
+        self.lat = lat;
+    }
+
+    /// Returns the machine to the state a fresh build with the same
+    /// configuration has — `Hierarchy::with_llc(llc)` over a new
+    /// `geom`/`mode` cache with this one's replacement policy and seed,
+    /// then this one's latency model — reusing every allocation (see
+    /// [`SlicedCache::reset`]): cache contents and statistics, the
+    /// clock and the memory-traffic counters all start over. A reset
+    /// that keeps the geometry allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`SlicedCache::new`].
+    pub fn reset(&mut self, geom: CacheGeometry, mode: DdioMode) {
+        // Exhaustive, so a new field is a compile error until the reset
+        // covers it.
+        let Hierarchy {
+            llc,
+            mem,
+            lat: _,
+            clock,
+            scratch,
+        } = self;
+        llc.reset(geom, mode);
+        *mem = MemoryStats::new();
+        *clock = 0;
+        scratch.clear();
     }
 
     /// Current cycle count.

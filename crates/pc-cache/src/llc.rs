@@ -217,6 +217,26 @@ impl SegTraceBins {
     }
 }
 
+/// The partition limit every set starts at in `mode`, validating the
+/// mode against the geometry.
+fn initial_io_limit(geom: CacheGeometry, mode: DdioMode) -> u8 {
+    match mode {
+        DdioMode::Disabled => 0,
+        DdioMode::Enabled { io_way_limit } => {
+            assert!(io_way_limit > 0, "DDIO way limit must be non-zero");
+            assert!(
+                (io_way_limit as usize) <= geom.ways(),
+                "DDIO way limit exceeds associativity"
+            );
+            io_way_limit
+        }
+        DdioMode::Adaptive(cfg) => {
+            cfg.validate(geom.ways());
+            cfg.min_io_lines
+        }
+    }
+}
+
 /// Batches shorter than this replay inline: binning + thread hand-off
 /// costs more than it saves. Crossing the threshold never changes
 /// results (the two paths are byte-equivalent), only who runs them.
@@ -242,6 +262,10 @@ pub struct SlicedCache {
     geom: CacheGeometry,
     hash: SliceHash,
     mode: DdioMode,
+    /// Replacement policy and RNG seed the cache was built with; a
+    /// [`SlicedCache::reset`] keeps both.
+    policy: ReplacementPolicy,
+    seed: u64,
     shards: Vec<Shard>,
     /// Per-slice bin scratch reused across batch dispatches.
     bins: TraceBins,
@@ -278,32 +302,20 @@ impl SlicedCache {
         seed: u64,
     ) -> Self {
         let hash = SliceHash::for_slices(geom.slices() as u32);
-        let initial_io_limit = match mode {
-            DdioMode::Disabled => 0,
-            DdioMode::Enabled { io_way_limit } => {
-                assert!(io_way_limit > 0, "DDIO way limit must be non-zero");
-                assert!(
-                    (io_way_limit as usize) <= geom.ways(),
-                    "DDIO way limit exceeds associativity"
-                );
-                io_way_limit
-            }
-            DdioMode::Adaptive(cfg) => {
-                cfg.validate(geom.ways());
-                cfg.min_io_lines
-            }
-        };
+        let io_limit = initial_io_limit(geom, mode);
         SlicedCache {
             geom,
             hash,
             mode,
+            policy,
+            seed,
             shards: (0..geom.slices())
                 .map(|slice| {
                     Shard::new(
                         geom.sets_per_slice(),
                         geom.ways(),
                         policy,
-                        initial_io_limit,
+                        io_limit,
                         seed,
                         slice,
                     )
@@ -311,6 +323,51 @@ impl SlicedCache {
                 .collect(),
             bins: TraceBins::default(),
             seg_bins: SegTraceBins::default(),
+        }
+    }
+
+    /// Returns the cache to exactly the state
+    /// `SlicedCache::with_policy_and_seed(geom, mode, policy, seed)`
+    /// builds, with the policy and seed it was built with, reusing its
+    /// allocations: every line, replacement stamp or bit, set record
+    /// (partition limit included), shard RNG, statistic, defense clock
+    /// and worklist is restored in place. A reset that keeps the
+    /// geometry allocates nothing; a larger geometry reallocates the
+    /// arrays that outgrow their capacity.
+    ///
+    /// Unlike a fresh build, a reset writes every line word, so all of
+    /// the store is resident afterwards: rebuild instead where a cache
+    /// is used once and mostly untouched.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`SlicedCache::new`].
+    pub fn reset(&mut self, geom: CacheGeometry, mode: DdioMode) {
+        let new_hash = SliceHash::for_slices(geom.slices() as u32);
+        let io_limit = initial_io_limit(geom, mode);
+        // Exhaustive, so a new field is a compile error until the reset
+        // covers it. The bin scratches are content-free between
+        // dispatches; their capacity is what a reset keeps.
+        let SlicedCache {
+            geom: old_geom,
+            hash,
+            mode: old_mode,
+            policy,
+            seed,
+            shards,
+            bins: _,
+            seg_bins: _,
+        } = self;
+        *old_geom = geom;
+        *hash = new_hash;
+        *old_mode = mode;
+        let (sets, ways) = (geom.sets_per_slice(), geom.ways());
+        shards.truncate(geom.slices());
+        for (slice, shard) in shards.iter_mut().enumerate() {
+            shard.reset(sets, ways, io_limit, *seed, slice);
+        }
+        for slice in shards.len()..geom.slices() {
+            shards.push(Shard::new(sets, ways, *policy, io_limit, *seed, slice));
         }
     }
 
@@ -764,6 +821,43 @@ mod tests {
                 ss.slice == target.slice && ss.set != target.set
             })
             .expect("a same-slice, different-set address exists")
+    }
+
+    /// The internal twin of `tests/reset.rs`: a reset cache's shards
+    /// must equal a fresh build's field for field — including state no
+    /// public accessor shows until it matters, like the dirty epoch and
+    /// the worklists.
+    #[test]
+    fn reset_shards_equal_fresh_shards() {
+        use crate::ReplacementPolicy::{Lru, Random, TreePlru};
+        let geom = CacheGeometry::tiny();
+        let adaptive = DdioMode::Adaptive(AdaptiveConfig {
+            period: 16,
+            ..AdaptiveConfig::paper_defaults()
+        });
+        let ops: Vec<CacheOp> = (0..5000u64)
+            .map(|i| {
+                let addr = PhysAddr::new(pc_par::mix_seed(7, i) % 4096 * 64);
+                if i % 3 == 0 {
+                    CacheOp::io_write(addr)
+                } else {
+                    CacheOp::new(addr, AccessKind::CpuWrite)
+                }
+            })
+            .collect();
+        for policy in [Lru, TreePlru, Random] {
+            for mode in [DdioMode::Disabled, DdioMode::enabled(), adaptive] {
+                let mut llc = SlicedCache::with_policy_and_seed(geom, adaptive, policy, 11);
+                llc.access_batch_threads(&ops, 1);
+                llc.reset(geom, mode);
+                let fresh = SlicedCache::with_policy_and_seed(geom, mode, policy, 11);
+                assert_eq!(
+                    format!("{:?}", llc.shards),
+                    format!("{:?}", fresh.shards),
+                    "{policy:?} into {mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,23 @@ impl FlatReplacement {
         }
     }
 
+    /// Returns to the state [`FlatReplacement::new`] builds for the same
+    /// policy at `ways × total_sets`, reusing the allocation (none is
+    /// made unless the shape grew).
+    pub(crate) fn reset(&mut self, ways: usize, total_sets: usize) {
+        match self {
+            FlatReplacement::Lru { stamps, clock } => {
+                refill(stamps, ways * total_sets, 0);
+                *clock = 0;
+            }
+            FlatReplacement::TreePlru { bits, stride } => {
+                *stride = ways.next_power_of_two().max(2);
+                refill(bits, *stride * total_sets, false);
+            }
+            FlatReplacement::Random => {}
+        }
+    }
+
     /// Rewrites all LRU stamps as per-set ranks (`1..=ways`, ties broken
     /// by way index exactly as the victim scan breaks them), resetting
     /// the clock past every rank. Order within each set — the only thing
@@ -207,6 +224,14 @@ impl FlatReplacement {
             }
         }
     }
+}
+
+/// Makes `v` exactly `n` copies of `x`, keeping its allocation when it
+/// already holds `n` elements' capacity — the in-place counterpart of
+/// `vec![x; n]` that every store reset goes through.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
 }
 
 /// Domain-based victim eligibility, replacing the old per-fill closures

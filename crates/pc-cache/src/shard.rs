@@ -47,6 +47,15 @@ use crate::store::{LineStore, FLAG_ELEVATED, FLAG_PARKED, NEVER_TOUCHED};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// The RNG stream of slice `slice` in a cache built with `seed`.
+fn slice_rng(seed: u64, slice: usize) -> SmallRng {
+    SmallRng::seed_from_u64(pc_par::stream_seed(
+        seed,
+        pc_par::SeedDomain::Slice,
+        slice as u64,
+    ))
+}
+
 /// The simulation engine for one slice: line store, RNG, statistics and
 /// adaptive-partition state. Set indices are slice-local
 /// (`0..sets_per_slice`).
@@ -89,11 +98,7 @@ impl Shard {
     ) -> Self {
         Shard {
             store: LineStore::new(sets, ways, policy, io_limit),
-            rng: SmallRng::seed_from_u64(pc_par::stream_seed(
-                seed,
-                pc_par::SeedDomain::Slice,
-                slice as u64,
-            )),
+            rng: slice_rng(seed, slice),
             stats: CacheStats::new(),
             clock: 0,
             adapt_last: 0,
@@ -102,6 +107,40 @@ impl Shard {
             active: Vec::new(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Returns to the state [`Shard::new`] builds for these arguments,
+    /// reusing the store's and the worklists' allocations. The
+    /// replacement policy is kept. The exhaustive destructuring makes a
+    /// new field a compile error here until the reset covers it.
+    pub(crate) fn reset(
+        &mut self,
+        sets: usize,
+        ways: usize,
+        io_limit: u8,
+        seed: u64,
+        slice: usize,
+    ) {
+        let Shard {
+            store,
+            rng,
+            stats,
+            clock,
+            adapt_last,
+            epoch,
+            dirty,
+            active,
+            scratch,
+        } = self;
+        store.reset(sets, ways, io_limit);
+        *rng = slice_rng(seed, slice);
+        *stats = CacheStats::new();
+        *clock = 0;
+        *adapt_last = 0;
+        *epoch = 0;
+        dirty.clear();
+        active.clear();
+        scratch.clear();
     }
 
     /// Statistics accumulated by this shard alone.

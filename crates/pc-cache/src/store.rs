@@ -23,7 +23,7 @@
 //! O(ways) rescans per access) into O(1) loads; lookups and victim
 //! scans walk a single cache-line-friendly slice.
 
-use crate::replacement::{FlatReplacement, ReplacementPolicy, Victims};
+use crate::replacement::{refill, FlatReplacement, ReplacementPolicy, Victims};
 use crate::set::{Domain, EvictedLine};
 use rand::rngs::SmallRng;
 
@@ -49,6 +49,15 @@ pub(crate) const FLAG_PARKED: u8 = 1 << 2;
 /// adaptive epoch counter skips this value when it wraps, so a stamp of
 /// `NEVER_TOUCHED` can never spuriously match the current epoch.
 pub(crate) const NEVER_TOUCHED: u32 = u32::MAX;
+
+/// 64 ways bounds the victim eligibility mask to one u64; real LLCs
+/// top out well below that (the paper's part has 20).
+fn check_ways(ways: usize) {
+    assert!(
+        ways > 0 && ways <= 64,
+        "unsupported associativity (1..=64 ways)"
+    );
+}
 
 #[inline]
 fn pack(tag: u64, domain: Domain, dirty: bool) -> u64 {
@@ -117,12 +126,7 @@ impl LineStore {
         policy: ReplacementPolicy,
         io_limit: u8,
     ) -> Self {
-        // 64 ways bounds the victim eligibility mask to one u64; real
-        // LLCs top out well below that (the paper's part has 20).
-        assert!(
-            ways > 0 && ways <= 64,
-            "unsupported associativity (1..=64 ways)"
-        );
+        check_ways(ways);
         LineStore {
             ways,
             lines: vec![0; total_sets * ways],
@@ -134,6 +138,42 @@ impl LineStore {
                 };
                 total_sets
             ],
+        }
+    }
+
+    /// Returns to the state [`LineStore::new`] builds for
+    /// `total_sets × ways` with every set's partition at `io_limit`,
+    /// reusing the line, replacement and set-record allocations (none is
+    /// made unless the shape grew). The replacement policy is kept.
+    pub(crate) fn reset(&mut self, total_sets: usize, ways: usize, io_limit: u8) {
+        check_ways(ways);
+        // Fault site `partial-reset`: the reset leaves the first keyed
+        // set's lines in place (with the occupancy counts describing
+        // them), so a reused machine starts with stale residents a fresh
+        // one never has. Keyed on the slice-local set index; only a
+        // same-shape reset can keep a set.
+        let same_shape = ways == self.ways && total_sets == self.sets.len();
+        let kept = (0..total_sets)
+            .find(|&set| {
+                same_shape
+                    && crate::fault::fires_keyed(crate::fault::FaultSite::PartialReset, set as u64)
+            })
+            .map(|set| (set, self.set_lines(set).to_vec(), self.sets[set]));
+        self.ways = ways;
+        refill(&mut self.lines, total_sets * ways, 0);
+        self.repl.reset(ways, total_sets);
+        refill(
+            &mut self.sets,
+            total_sets,
+            SetMeta {
+                io_limit,
+                ..SetMeta::default()
+            },
+        );
+        if let Some((set, words, meta)) = kept {
+            self.lines[set * ways..(set + 1) * ways].copy_from_slice(&words);
+            self.sets[set].valid = meta.valid;
+            self.sets[set].io = meta.io;
         }
     }
 

@@ -54,20 +54,13 @@ pub struct Workbench {
 }
 
 impl Workbench {
-    /// The seeded machine parts — one definition shared by
+    /// The seeded driver and RNG — one definition shared by
     /// [`Workbench::new`] and [`Workbench::reset`] so a reused bench
     /// can never drift from a freshly built one.
-    fn build(
-        geometry: CacheGeometry,
-        mode: DdioMode,
-        driver_cfg: DriverConfig,
-        seed: u64,
-    ) -> (Hierarchy, IgbDriver, SmallRng) {
+    fn build_driver(driver_cfg: DriverConfig, seed: u64) -> (IgbDriver, SmallRng) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let llc = SlicedCache::new(geometry, mode);
-        let h = Hierarchy::with_llc(llc);
         let driver = IgbDriver::new(driver_cfg, PageAllocator::new(seed ^ 0xd15c), &mut rng);
-        (h, driver, rng)
+        (driver, rng)
     }
 
     /// Builds a bench with the given LLC geometry and DDIO mode.
@@ -77,9 +70,9 @@ impl Workbench {
         driver_cfg: DriverConfig,
         seed: u64,
     ) -> Self {
-        let (h, driver, rng) = Workbench::build(geometry, mode, driver_cfg, seed);
+        let (driver, rng) = Workbench::build_driver(driver_cfg, seed);
         Workbench {
-            h,
+            h: Hierarchy::with_llc(SlicedCache::new(geometry, mode)),
             driver,
             rng,
             tx_cursor: 0,
@@ -98,10 +91,12 @@ impl Workbench {
     }
 
     /// Rebuilds this bench in place, behaviourally identical to
-    /// `*self = Workbench::new(…)` but keeping the op-batch capacity.
-    /// Fleet tenants reuse one bench per worker thread; resetting
-    /// instead of rebuilding keeps per-tenant setup at clears rather
-    /// than allocations.
+    /// `*self = Workbench::new(…)`. The hierarchy is reset in place
+    /// ([`Hierarchy::reset`]: the simulated LLC's storage is reused, so
+    /// a same-geometry reset costs clears, not allocations) and the op
+    /// batch keeps its capacity; the driver and RNG are rebuilt from
+    /// the seed. Fleet tenants reuse one machine per worker thread this
+    /// way.
     pub fn reset(
         &mut self,
         geometry: CacheGeometry,
@@ -109,8 +104,8 @@ impl Workbench {
         driver_cfg: DriverConfig,
         seed: u64,
     ) {
-        let (h, driver, rng) = Workbench::build(geometry, mode, driver_cfg, seed);
-        self.h = h;
+        let (driver, rng) = Workbench::build_driver(driver_cfg, seed);
+        self.h.reset(geometry, mode);
         self.driver = driver;
         self.rng = rng;
         self.tx_cursor = 0;
