@@ -706,8 +706,34 @@ fn bench_cache(scale: Scale, smoke: bool) {
     if let Some(tax) = pc_bench::cache_bench::adaptive_driver_tax(&drivers) {
         println!("# adaptive_driver_tax: {tax:.2}x enabled-mode ns/packet (target <= 4x)");
     }
+    // The spy's probing layer: ns per line of a 20-line probe walk,
+    // hinted vs the per-access `cpu_read` walk, quiet and noisy.
+    let probe_walks = pc_bench::cache_bench::measure_probe_walks(
+        samples,
+        if smoke {
+            pc_bench::cache_bench::PROBE_WALKS / 4
+        } else {
+            pc_bench::cache_bench::PROBE_WALKS
+        },
+    );
+    println!("probe_walk,hinted_ns_per_line,oracle_ns_per_line,speedup");
+    for p in &probe_walks {
+        println!(
+            "{},{:.2},{:.2},{:.2}x",
+            p.walk,
+            p.hinted_ns_per_line,
+            p.oracle_ns_per_line,
+            p.speedup()
+        );
+    }
     let json = pc_bench::cache_bench::to_json(
-        &results, &drivers, &testbeds, &scenarios, &fleet, trace_len,
+        &results,
+        &drivers,
+        &testbeds,
+        &scenarios,
+        &probe_walks,
+        &fleet,
+        trace_len,
     );
     // Smoke runs are quarter-length single-sample measurements: keep
     // them away from the tracked BENCH_cache.json so the PR-to-PR perf
@@ -799,17 +825,26 @@ fn bench_cache(scale: Scale, smoke: bool) {
                 ));
             }
         }
+        for p in &probe_walks {
+            if !p.is_sane() {
+                die(&format!(
+                    "bench-cache smoke: unusable probe-walk timing for {}: {p:?}",
+                    p.walk
+                ));
+            }
+        }
         if !fleet.is_sane() {
             die(&format!(
                 "bench-cache smoke: unusable fleet measurement: {fleet:?}"
             ));
         }
         println!(
-            "# smoke: {} cases + {} driver rows + {} testbed rows + {} scenario rows + fleet sane",
+            "# smoke: {} cases + {} driver rows + {} testbed rows + {} scenario rows + {} probe-walk rows + fleet sane",
             results.len(),
             drivers.len(),
             testbeds.len(),
-            scenarios.len()
+            scenarios.len(),
+            probe_walks.len()
         );
     }
 }

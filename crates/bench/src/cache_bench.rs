@@ -647,7 +647,7 @@ const CROSSGAP_EPOCHS: u64 = 8;
 /// three rx engines on a *bursty* arrival schedule —
 /// [`CROSSGAP_BURST`]-frame zero-gap bursts separated by
 /// `CROSSGAP_GAP`-cycle gaps — drained through `CROSSGAP_EPOCHS`
-/// probe epochs (each an `advance_to` plus a fused
+/// probe epochs (each an `advance_to` plus a
 /// [`pc_probe::Monitor`] sample). Exactly the shape that capped the
 /// pre-reconstruction engine at one window per gap/epoch; the row's
 /// `testbed_window_frames_mean` is the direct measure of what
@@ -792,6 +792,91 @@ pub fn measure_fleet(samples: usize, tenants: usize) -> FleetResult {
     }
 }
 
+/// Probe walks per probe-walk measurement pass (full runs; `--smoke`
+/// shortens it like it shortens the traces).
+pub const PROBE_WALKS: usize = 20_000;
+
+/// One measured probe-walk case: a [`pc_probe::PrimeProbe`]'s 20-line
+/// reverse walk over one Xeon E5-2660 slice-set in DDIO-enabled mode,
+/// hinted ([`pc_probe::PrimeProbe::probe`] through
+/// [`pc_cache::Hierarchy::walk`]) against the per-access oracle (one
+/// [`pc_cache::Hierarchy::cpu_read`] per line). `quiet` walks find the
+/// set as the last walk left it, so every line hits (the common case:
+/// most probes see nothing); `noisy` walks follow one DMA write into
+/// the set, so each walk misses and refills. Both sides of a noisy row
+/// include that write's time.
+#[derive(Clone, Debug)]
+pub struct ProbeWalkResult {
+    /// `"quiet"` or `"noisy"`.
+    pub walk: String,
+    /// Median nanoseconds per walked line, hinted walk.
+    pub hinted_ns_per_line: f64,
+    /// Median nanoseconds per walked line, per-access `cpu_read` walk.
+    pub oracle_ns_per_line: f64,
+}
+
+impl ProbeWalkResult {
+    /// Oracle ÷ hinted time per line.
+    pub fn speedup(&self) -> f64 {
+        self.oracle_ns_per_line / self.hinted_ns_per_line
+    }
+
+    /// `true` when both timings are usable (finite, positive).
+    pub fn is_sane(&self) -> bool {
+        [self.hinted_ns_per_line, self.oracle_ns_per_line]
+            .iter()
+            .all(|ns| ns.is_finite() && *ns > 0.0)
+    }
+}
+
+/// Median ns per line over `samples` passes (after an untimed warm-up)
+/// of `walks` probe walks, hinted or per-access, quiet or noisy.
+fn time_probe_walk(noisy: bool, hinted: bool, samples: usize, walks: usize) -> f64 {
+    use pc_probe::{oracle_eviction_sets, AddressPool, PrimeProbe};
+    use std::hint::black_box;
+    let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let victim = PhysAddr::new(4096 * 999);
+    let target = h.llc().locate(victim);
+    let set = oracle_eviction_sets(h.llc(), &AddressPool::allocate(5, 12288), &[target]).remove(0);
+    let pp = PrimeProbe::new(set, h.latencies().miss_threshold());
+    pp.prime(&mut h);
+    let lines = pp.eviction_set().addresses().to_vec();
+    let mut runs = Vec::with_capacity(samples);
+    for i in 0..=samples {
+        let t = Instant::now();
+        for _ in 0..walks {
+            if noisy {
+                h.io_write(victim);
+            }
+            if hinted {
+                black_box(pp.probe(&mut h));
+            } else {
+                for &a in lines.iter().rev() {
+                    black_box(h.cpu_read(a));
+                }
+            }
+        }
+        if i > 0 {
+            // First pass is warm-up.
+            runs.push(t.elapsed().as_nanos() as f64 / (walks * lines.len()) as f64);
+        }
+    }
+    median(runs)
+}
+
+/// Measures the probe-walk rows (`quiet`, then `noisy`): `samples`
+/// passes of `walks` walks per engine.
+pub fn measure_probe_walks(samples: usize, walks: usize) -> Vec<ProbeWalkResult> {
+    [("quiet", false), ("noisy", true)]
+        .into_iter()
+        .map(|(walk, noisy)| ProbeWalkResult {
+            walk: walk.to_owned(),
+            hinted_ns_per_line: time_probe_walk(noisy, true, samples, walks),
+            oracle_ns_per_line: time_probe_walk(noisy, false, samples, walks),
+        })
+        .collect()
+}
+
 /// One timed end-to-end scenario row: wall clock for a full registry
 /// scenario run. The multi-queue scenarios added with the RSS model are
 /// tracked here so steering/fusion overhead shows up in the perf
@@ -863,26 +948,27 @@ pub fn adaptive_driver_tax(drivers: &[DriverResult]) -> Option<f64> {
 }
 
 /// Renders results as the `BENCH_cache.json` document (schema
-/// `pc-bench-cache-v8`; the `trace_*` fields, the per-mode `modes`
+/// `pc-bench-cache-v9`; the `trace_*` fields, the per-mode `modes`
 /// summary, the end-to-end `driver` and `testbed` rows — each
 /// annotated with the measuring host's `host_threads` and, for
 /// testbed rows, the `testbed_window_frames_mean` fusion telemetry
 /// (the `crossgap` row measures the bursty gap + probe-epoch
 /// schedule) — the per-scenario `scenarios` wall-clock rows, the
-/// `fleet` entry and the `adaptive_driver_tax` ratio are documented
-/// in `crates/bench/README.md`).
+/// `probe_walk` rows, the `fleet` entry and the `adaptive_driver_tax`
+/// ratio are documented in `crates/bench/README.md`).
 pub fn to_json(
     results: &[CaseResult],
     drivers: &[DriverResult],
     testbeds: &[TestBedResult],
     scenarios: &[ScenarioResult],
+    probe_walks: &[ProbeWalkResult],
     fleet: &FleetResult,
     trace_len: usize,
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v8\",");
+    let _ = writeln!(s, "  \"schema\": \"pc-bench-cache-v9\",");
     let _ = writeln!(s, "  \"trace_len\": {trace_len},");
     let _ = writeln!(s, "  \"threads\": {},", pc_par::max_threads());
     s.push_str("  \"modes\": [\n");
@@ -937,6 +1023,23 @@ pub fn to_json(
             sc.scenario, sc.wall_ms, sc.host_threads
         );
         s.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"probe_walk\": [\n");
+    for (i, p) in probe_walks.iter().enumerate() {
+        let _ = write!(
+            s,
+            "    {{\"walk\": \"{}\", \"hinted_ns_per_line\": {:.2}, \"oracle_ns_per_line\": {:.2}, \"speedup\": {:.2}}}",
+            p.walk,
+            p.hinted_ns_per_line,
+            p.oracle_ns_per_line,
+            p.speedup()
+        );
+        s.push_str(if i + 1 < probe_walks.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     s.push_str("  ],\n");
     let _ = writeln!(
@@ -1018,6 +1121,14 @@ mod tests {
         }
     }
 
+    fn probe_walk_result(walk: &str) -> ProbeWalkResult {
+        ProbeWalkResult {
+            walk: walk.into(),
+            hinted_ns_per_line: 2.5,
+            oracle_ns_per_line: 10.0,
+        }
+    }
+
     fn scenario_result(name: &str) -> ScenarioResult {
         ScenarioResult {
             scenario: name.into(),
@@ -1032,7 +1143,8 @@ mod tests {
         let d = vec![driver_result("enabled")];
         let t = vec![testbed_result("enabled")];
         let sc = vec![scenario_result("kv-store")];
-        let s = to_json(&r, &d, &t, &sc, &fleet_result(), TRACE_LEN);
+        let pw = vec![probe_walk_result("quiet"), probe_walk_result("noisy")];
+        let s = to_json(&r, &d, &t, &sc, &pw, &fleet_result(), TRACE_LEN);
         assert!(s.contains("\"speedup\": 3.00"));
         assert!(s.contains("\"parallel_speedup\": 2.00"));
         assert!(s.contains("\"trace_parallel_speedup\": 5.00"));
@@ -1049,7 +1161,10 @@ mod tests {
         assert!(s.contains("\"testbed_burst_speedup\": 1.20"));
         assert!(s.contains("\"testbed_scalar_speedup\": 1.50"));
         assert!(s.contains("\"testbed_window_frames_mean\": 96.5"));
-        assert!(s.contains("pc-bench-cache-v8"));
+        assert!(s.contains("pc-bench-cache-v9"));
+        assert!(s.contains(
+            "{\"walk\": \"noisy\", \"hinted_ns_per_line\": 2.50, \"oracle_ns_per_line\": 10.00, \"speedup\": 4.00}"
+        ));
         assert!(s.contains("\"scenario\": \"kv-store\", \"wall_ms\": 12.5"));
         assert!(s.contains(
             "\"fleet\": {\"tenants\": 64, \"tenants_per_sec\": 40.0, \"packets_per_sec\": 2000000}"
@@ -1072,6 +1187,7 @@ mod tests {
             &drivers,
             &[testbed_result("enabled")],
             &[scenario_result("dns-flood")],
+            &[probe_walk_result("quiet")],
             &fleet_result(),
             TRACE_LEN,
         );
@@ -1094,6 +1210,17 @@ mod tests {
         f.packets_per_sec = 2_000_000.0;
         f.tenants = 0;
         assert!(!f.is_sane());
+    }
+
+    #[test]
+    fn probe_walk_sanity_gate_rejects_bogus_timings() {
+        assert!(probe_walk_result("quiet").is_sane());
+        let mut p = probe_walk_result("quiet");
+        p.hinted_ns_per_line = f64::NAN;
+        assert!(!p.is_sane());
+        let mut p = probe_walk_result("noisy");
+        p.oracle_ns_per_line = 0.0;
+        assert!(!p.is_sane());
     }
 
     #[test]

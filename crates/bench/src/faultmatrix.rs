@@ -26,11 +26,11 @@
 //!   exercises the windowed-rx sites (`dropped-deferred-read`,
 //!   `burst-flush-elision`, `swapped-segment-subtotal`,
 //!   `stale-deferred-segment-index`).
-//! * `monitor` — the fused multi-target probe sample
-//!   (`pc_probe::Monitor`) against per-target probing on a cloned
-//!   machine, mirroring `crates/pc-probe/tests/fault_kill_probe.rs` —
-//!   the only detector that exercises `cross-epoch-misclassify`, whose
-//!   mutation lives in the fused per-segment classification alone.
+//! * `monitor` — the monitor's hinted prime and probe walks
+//!   (`pc_probe::Monitor`) against per-access `cpu_read`s on a clone,
+//!   mirroring `crates/pc-probe/tests/fault_kill_probe.rs` — the only
+//!   detector that exercises `unverified-walk-hint`, whose mutation
+//!   lives in the walks' bulk path alone.
 //! * `golden` — the scenario registry at the blessed parameters
 //!   (`Scale::Quick`, seed 2020) byte-compared against the snapshots
 //!   in `tests/golden/` (`fingerprint` is excluded: it costs more than
@@ -50,7 +50,7 @@ use crate::scenario;
 use pc_cache::fault::{self, FaultSite, FaultSpec};
 use pc_cache::{
     AccessKind, AdaptiveConfig, CacheGeometry, CacheOp, CacheStats, DdioMode, Hierarchy, OpBuffer,
-    OpSink, PhysAddr,
+    OpSink, PhysAddr, SliceSet,
 };
 use pc_core::{RxEngine, TestBed, TestBedConfig};
 use pc_net::{EthernetFrame, ScheduledFrame};
@@ -490,61 +490,102 @@ fn testbed_trajectory() -> Option<String> {
     None
 }
 
-// --- suite `monitor`: fused probe sample vs per-target probing ------
+// --- suite `monitor`: hinted walks vs per-access reads -------------
 
-/// The fused multi-target probe sample against per-target probing on a
-/// cloned machine: 32 monitored sets (every keyed modulus in the
-/// catalog fires within the first 32 keys), with NIC writes landing on
-/// a rotating third of the victims between samples. The per-target
-/// path never consults the fused classification hook, so it is the
-/// oracle for `cross-epoch-misclassify` — and the comparison doubles
-/// as a fusion-equivalence regression (clock and statistics included).
+/// The first observable difference between the walked machine and the
+/// per-access one, if any.
+fn walk_differs(walked: &Hierarchy, oracle: &Hierarchy) -> Option<&'static str> {
+    if walked.now() != oracle.now() {
+        return Some("clock");
+    }
+    if walked.memory_stats() != oracle.memory_stats() {
+        return Some("memory traffic");
+    }
+    if walked.llc().stats() != oracle.llc().stats() {
+        return Some("LLC stats");
+    }
+    None
+}
+
+/// The monitor's hinted prime and probe walks against the same reads
+/// issued one at a time with `cpu_read` on a clone taken before the
+/// first prime, mirroring `crates/pc-probe/tests/fault_kill_probe.rs`:
+/// 64 monitored sets, NIC writes on a rotating third of the victims
+/// and foreign CPU reads on a rotating fifth between samples, and a
+/// re-prime before odd rounds so the evicted line is sometimes the
+/// set's first and sometimes its last. The per-access reads never
+/// consult the walk hooks, so they are the oracle for
+/// `unverified-walk-hint`; rows, clock, memory traffic and LLC
+/// statistics are compared after every step.
 fn monitor_differential() -> Option<String> {
     let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
     let mut victims: Vec<PhysAddr> = Vec::new();
-    let mut targets = Vec::new();
-    for page in 0..4000u64 {
-        if targets.len() >= 32 {
+    let mut sets: Vec<SliceSet> = Vec::new();
+    for page in 0..8000u64 {
+        if sets.len() >= 64 {
             break;
         }
         let v = PhysAddr::new(page * 4096);
         let ss = h.llc().locate(v);
-        if victims.iter().any(|&p| h.llc().locate(p) == ss) {
-            continue;
+        if !sets.contains(&ss) {
+            sets.push(ss);
+            victims.push(v);
         }
-        let set = oracle_eviction_sets(h.llc(), &pool, &[ss]).remove(0);
-        targets.push(MonitorTarget::new(
-            targets.len(),
-            set,
-            h.latencies().miss_threshold(),
-        ));
-        victims.push(v);
     }
-    let m = Monitor::new(targets);
-    m.prime_all(&mut h);
-    let _ = m.sample_misses(&mut h); // settle the primed state
-    for round in 0..3usize {
-        for (i, &v) in victims.iter().enumerate() {
-            if i % 3 == round {
-                h.io_write(v);
+    let threshold = h.latencies().miss_threshold();
+    let m = Monitor::new(
+        oracle_eviction_sets(h.llc(), &pool, &sets)
+            .into_iter()
+            .enumerate()
+            .map(|(i, set)| MonitorTarget::new(i, set, threshold))
+            .collect(),
+    );
+    let mut oracle = h.clone();
+    let prime = |h: &mut Hierarchy, oracle: &mut Hierarchy| {
+        m.prime_all(h);
+        for t in m.targets() {
+            for &a in t.probe.eviction_set().addresses() {
+                oracle.cpu_read(a);
             }
         }
-        let mut oracle = h.clone();
-        let fused = m.sample_misses(&mut h);
-        let split: Vec<u32> = m
+    };
+    prime(&mut h, &mut oracle);
+    if let Some(d) = walk_differs(&h, &oracle) {
+        return Some(format!("{d} after the first prime"));
+    }
+    for round in 0..6usize {
+        if round % 2 == 1 {
+            prime(&mut h, &mut oracle);
+        }
+        for (i, &v) in victims.iter().enumerate() {
+            if i % 3 == round % 3 {
+                h.io_write(v);
+                oracle.io_write(v);
+            }
+            if i % 5 == round % 5 {
+                h.cpu_read(v);
+                oracle.cpu_read(v);
+            }
+        }
+        let walked = m.sample_misses(&mut h);
+        let per_access: Vec<u32> = m
             .targets()
             .iter()
-            .map(|t| t.probe.probe(&mut oracle).misses)
+            .map(|t| {
+                let lines = t.probe.eviction_set().addresses();
+                lines
+                    .iter()
+                    .rev()
+                    .filter(|&&a| oracle.cpu_read(a) >= threshold)
+                    .count() as u32
+            })
             .collect();
-        if fused != split {
-            return Some(format!("fused sample row diverged (round {round})"));
+        if walked != per_access {
+            return Some(format!("sample row diverged (round {round})"));
         }
-        if h.now() != oracle.now() {
-            return Some(format!("clock after fused sample (round {round})"));
-        }
-        if h.llc().stats() != oracle.llc().stats() {
-            return Some(format!("LLC stats after fused sample (round {round})"));
+        if let Some(d) = walk_differs(&h, &oracle) {
+            return Some(format!("{d} after the sample (round {round})"));
         }
     }
     None

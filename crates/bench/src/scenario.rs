@@ -4,7 +4,7 @@
 //! A [`ScenarioSpec`] is a named, seeded, scale-aware end-to-end
 //! workload description — mix weights, arrival process, duration, DDIO
 //! mode sweep — driven through the op-stream pipeline (batched driver
-//! receive, fused monitor primes, sharded trace replay). The registry
+//! receive, hinted prime/probe walks, sharded trace replay). The registry
 //! unifies what used to be two separate worlds — the `pc-net` traffic
 //! generators (web traces, line-rate models, covert symbol streams)
 //! and the `pc-defense` measurement workloads (nginx, TCP receive,

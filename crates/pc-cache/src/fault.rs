@@ -53,7 +53,8 @@ use std::sync::Mutex;
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum Engine {
     /// The batched replay paths (`run_ops`, `run_trace_threads`, the
-    /// slice-sharded dispatcher and the buffered short loop).
+    /// slice-sharded dispatcher, the buffered short loop and the hinted
+    /// walks).
     Batch,
     /// The streaming [`crate::OpApplier`].
     Streaming,
@@ -147,12 +148,12 @@ pub enum FaultSite {
     /// per-frame engine performs it. Keyed on the deferral's segment
     /// index; lexically fused-receive-only.
     StaleDeferredSegmentIndex,
-    /// The monitor's fused cross-epoch sample inverts a keyed target's
-    /// classification (misses become `accesses - misses`) — the fused
-    /// batch aggregate disagrees with the per-target probe walk it
-    /// summarizes. Keyed on the target index; lexically
-    /// fused-sample-only.
-    CrossEpochMisclassify,
+    /// A hinted walk's bulk path takes a keyed line's way hint on trust
+    /// instead of checking it — a walk whose keyed line was evicted
+    /// counts it as a hit and touches whatever now sits in its way, so
+    /// the walk disagrees with the per-access reads it replays. Keyed
+    /// on the raw address; lexically walk-bulk-only.
+    UnverifiedWalkHint,
     /// The RSS steer routes a keyed flow to the *next* queue index —
     /// frames land in the wrong ring, so per-queue ring order, page
     /// placement and RNG streams all diverge from the steering
@@ -184,7 +185,7 @@ impl FaultSite {
         FaultSite::TruncatedLead,
         FaultSite::SwappedSegmentSubtotal,
         FaultSite::StaleDeferredSegmentIndex,
-        FaultSite::CrossEpochMisclassify,
+        FaultSite::UnverifiedWalkHint,
         FaultSite::SwappedQueueSteer,
         FaultSite::PartialReset,
     ];
@@ -205,7 +206,7 @@ impl FaultSite {
             FaultSite::TruncatedLead => "truncated-lead",
             FaultSite::SwappedSegmentSubtotal => "swapped-segment-subtotal",
             FaultSite::StaleDeferredSegmentIndex => "stale-deferred-segment-index",
-            FaultSite::CrossEpochMisclassify => "cross-epoch-misclassify",
+            FaultSite::UnverifiedWalkHint => "unverified-walk-hint",
             FaultSite::SwappedQueueSteer => "swapped-queue-steer",
             FaultSite::PartialReset => "partial-reset",
         }
@@ -241,7 +242,7 @@ impl FaultSite {
             | FaultSite::TruncatedLead
             | FaultSite::SwappedSegmentSubtotal
             | FaultSite::StaleDeferredSegmentIndex
-            | FaultSite::CrossEpochMisclassify
+            | FaultSite::UnverifiedWalkHint
             | FaultSite::SwappedQueueSteer
             | FaultSite::PartialReset => FiringKind::Keyed,
         }
@@ -280,9 +281,7 @@ impl FaultSite {
             FaultSite::StaleDeferredSegmentIndex => {
                 "fused receive files a deferred read under the previous segment"
             }
-            FaultSite::CrossEpochMisclassify => {
-                "fused monitor sample inverts one target's classification"
-            }
+            FaultSite::UnverifiedWalkHint => "hinted walk's bulk path skips one line's check",
             FaultSite::SwappedQueueSteer => "RSS steer routes a flow to the next queue",
             FaultSite::PartialReset => "cache reset leaves one set's lines in place",
         }

@@ -12,6 +12,7 @@ use crate::geometry::CacheGeometry;
 use crate::llc::{AccessKind, DdioMode, SlicedCache};
 use crate::memory::MemoryStats;
 use crate::ops::{CacheOp, OpBuffer, OpSink};
+use crate::walk::{WalkOrder, WayHint};
 use crate::Cycles;
 
 /// Latency (in cycles) of the modelled components.
@@ -244,9 +245,10 @@ impl Hierarchy {
     /// entry points do, and returns the aggregate.
     ///
     /// This is the batch entry point for producers that don't need
-    /// per-access latencies — `PrimeProbe::prime` (and through it every
-    /// monitor priming pass in the attack) replays its eviction set here
-    /// — saving a call and two stat read-modify-writes per line.
+    /// per-access latencies — the timing-based eviction-set builder
+    /// replays its candidate walks here — saving a call and two stat
+    /// read-modify-writes per line. (The spy's repeated prime and probe
+    /// walks use [`Hierarchy::walk`] instead.)
     /// Per-access behaviour (RNG stream, adaptation timing, statistics)
     /// is identical to issuing the ops one at a time.
     ///
@@ -272,10 +274,10 @@ impl Hierarchy {
         I: IntoIterator<Item = CacheOp>,
     {
         let ops = ops.into_iter();
-        // The dominant caller is `PrimeProbe::prime` with a handful of
-        // ops per call: when the trace provably cannot shard (one slice,
-        // or a known-short iterator) stream it with no allocation and no
-        // thread-pool sizing — both cost real time at that call rate.
+        // Most callers replay a handful of ops per call: when the trace
+        // provably cannot shard (one slice, or a known-short iterator)
+        // stream it with no allocation and no thread-pool sizing — both
+        // cost real time at a high call rate.
         let short = matches!(ops.size_hint(), (_, Some(hi)) if hi < crate::llc::PAR_BATCH_MIN);
         if short || self.llc.geometry().slices() <= 1 {
             return self.run_trace_sequential(ops);
@@ -436,35 +438,6 @@ impl Hierarchy {
         total
     }
 
-    /// Segment-reporting variant of [`Hierarchy::run_trace_threads`] for
-    /// borrowed traces: `starts` are ascending segment start indices
-    /// (`starts[0] == 0`), and one [`TraceSummary`] per segment lands in
-    /// `seg_out`. Replay, statistics and final clock are byte-identical
-    /// to the unsegmented call; the monitor uses this to classify many
-    /// probe targets from one fused batch.
-    pub fn run_trace_segmented(
-        &mut self,
-        ops: &[CacheOp],
-        starts: &[usize],
-        seg_out: &mut Vec<TraceSummary>,
-    ) -> TraceSummary {
-        seg_out.clear();
-        let spans: Vec<(usize, usize, Cycles)> = starts
-            .iter()
-            .enumerate()
-            .map(|(k, &start)| {
-                let end = starts.get(k + 1).copied().unwrap_or(ops.len());
-                (start, end, 0)
-            })
-            .collect();
-        let threads = pc_par::max_threads();
-        if self.llc.batch_worth_sharding(ops.len(), threads) {
-            self.run_trace_threads_segmented(ops, &spans, threads, seg_out)
-        } else {
-            self.run_trace_sequential_segmented(ops.iter().copied(), &spans, seg_out)
-        }
-    }
-
     /// The sequential arm of the segmented replays: one walk with a
     /// span cursor, closing each segment (and spending its tail advance)
     /// as the ops pass its end.
@@ -544,6 +517,78 @@ impl Hierarchy {
         self.mem.reads += total.dram_reads;
         self.mem.writes += total.dram_writes;
         total
+    }
+
+    /// Replays `lines` as CPU reads in `order`, each through its walk
+    /// hint (see [`WayHint`]): the entry point behind the spy's prime
+    /// and probe walks. Cache state, statistics, clock and the returned
+    /// summary are exactly those of reading the lines one at a time
+    /// with [`Hierarchy::cpu_read`]; the hints only decide how much
+    /// work finding each line takes, and are refreshed as the walk goes.
+    ///
+    /// ```
+    /// use pc_cache::{CacheGeometry, DdioMode, Hierarchy, PhysAddr, WalkOrder, WayHint};
+    /// let mut h = Hierarchy::new(CacheGeometry::tiny(), DdioMode::enabled());
+    /// let lines: Vec<PhysAddr> = (0..4u64).map(|i| PhysAddr::new(i * 0x4000)).collect();
+    /// let hints = vec![WayHint::default(); lines.len()];
+    /// let cold = h.walk(&lines, &hints, WalkOrder::Forward);
+    /// assert_eq!(cold.hits, 0);
+    /// let warm = h.walk(&lines, &hints, WalkOrder::Reverse);
+    /// assert_eq!(warm.hits, 4, "hints now name every line's way");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hints` and `lines` differ in length.
+    pub fn walk(
+        &mut self,
+        lines: &[PhysAddr],
+        hints: &[WayHint],
+        order: WalkOrder,
+    ) -> TraceSummary {
+        assert_eq!(lines.len(), hints.len(), "one hint per walked line");
+        match order {
+            WalkOrder::Forward => self.walk_in(lines, hints, 0..lines.len()),
+            WalkOrder::Reverse => self.walk_in(lines, hints, (0..lines.len()).rev()),
+        }
+    }
+
+    /// [`Hierarchy::walk`] over line indices in `order`: all hits at
+    /// once when every hint matches in one set, else line by line.
+    fn walk_in(
+        &mut self,
+        lines: &[PhysAddr],
+        hints: &[WayHint],
+        order: impl Iterator<Item = usize> + Clone,
+    ) -> TraceSummary {
+        let _engine = crate::fault::engine_scope(crate::fault::Engine::Batch);
+        if self.llc.read_hits_hinted(lines, hints, order.clone()) {
+            let k = lines.len() as u64;
+            let cycles = k * self.lat.llc_hit;
+            self.clock += cycles;
+            return TraceSummary {
+                accesses: k,
+                hits: k,
+                cycles,
+                ..TraceSummary::default()
+            };
+        }
+        let allocates = self.llc.mode().allocates_in_llc();
+        let mut sum = TraceSummary::default();
+        for i in order {
+            let out = self.llc.read_hinted(lines[i], &hints[i]);
+            sum.accesses += 1;
+            sum.hits += u64::from(out.hit);
+            sum.cycles += self
+                .lat
+                .access_latency(out.hit, AccessKind::CpuRead, allocates);
+            sum.dram_reads += u64::from(out.dram_reads);
+            sum.dram_writes += u64::from(out.dram_writes);
+        }
+        self.clock += sum.cycles;
+        self.mem.reads += sum.dram_reads;
+        self.mem.writes += sum.dram_writes;
+        sum
     }
 
     /// The clock-advancing sequential walk shared by every `run_trace`
@@ -914,33 +959,6 @@ mod tests {
             assert_eq!(auto.run_ops_segmented(&buf, &mut asegs), got, "{mode:?}");
             assert_eq!(asegs, segs, "{mode:?}");
         }
-    }
-
-    /// `run_trace_segmented` (borrowed trace + explicit starts) agrees
-    /// with `run_trace` and reports per-segment hit/miss splits — the
-    /// aggregates the monitor's fused cross-epoch sample consumes.
-    #[test]
-    fn trace_segmented_reports_per_segment_aggregates() {
-        let ops: Vec<CacheOp> = (0..5000u64)
-            .map(|i| CacheOp::read(PhysAddr::new((i % 61) * 0x5040)))
-            .collect();
-        let starts = [0usize, 1000, 1000, 2500, 4999];
-        let mut plain = h(DdioMode::enabled());
-        let want = plain.run_trace(ops.iter().copied());
-        let mut seg = h(DdioMode::enabled());
-        let mut segs = Vec::new();
-        let got = seg.run_trace_segmented(&ops, &starts, &mut segs);
-        assert_eq!(got, want);
-        assert_eq!(seg.now(), plain.now());
-        assert_eq!(segs.len(), starts.len());
-        assert_eq!(segs[1], TraceSummary::default(), "empty segment");
-        let mut fold = TraceSummary::default();
-        for sum in &segs {
-            fold.merge(sum);
-        }
-        assert_eq!(fold, got);
-        assert_eq!(segs[0].accesses, 1000);
-        assert_eq!(segs[4].accesses, 1);
     }
 
     #[test]

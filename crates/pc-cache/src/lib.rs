@@ -28,6 +28,9 @@
 //!   op batches once and replay them through the slice-sharded engine
 //!   ([`Hierarchy::run_ops`]), or point the same emit code at the
 //!   [`Hierarchy`] itself for the per-access equivalence oracle.
+//! * [`Hierarchy::walk`] / [`WayHint`] — hinted replay of a fixed list
+//!   of CPU reads (the spy's prime and probe walks): each line is first
+//!   checked at the (slice, way) where the walk last found it.
 //!
 //! The simulator is deterministic: all randomized behaviour (the `Random`
 //! replacement policy) draws from an RNG seeded at construction.
@@ -62,6 +65,7 @@ mod shard;
 mod slicehash;
 mod stats;
 mod store;
+mod walk;
 
 pub use addr::{PhysAddr, LINE_SIZE, LINE_SIZE_LOG2, PAGE_SIZE, PAGE_SIZE_LOG2};
 pub use geometry::CacheGeometry;
@@ -74,6 +78,7 @@ pub use replacement::ReplacementPolicy;
 pub use set::Domain;
 pub use slicehash::SliceHash;
 pub use stats::CacheStats;
+pub use walk::{WalkOrder, WayHint};
 
 /// Simulated clock cycles.
 ///

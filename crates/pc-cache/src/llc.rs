@@ -21,6 +21,7 @@ use crate::set::Domain;
 use crate::shard::Shard;
 use crate::slicehash::SliceHash;
 use crate::stats::CacheStats;
+use crate::walk::WayHint;
 use std::fmt;
 
 /// How DMA from I/O devices interacts with the LLC.
@@ -466,6 +467,74 @@ impl SlicedCache {
         let ss = self.locate(addr);
         let tag = self.geom.tag(addr);
         self.shards[ss.slice].access(self.mode, ss.set, tag, kind)
+    }
+
+    /// A CPU read of `addr` through its walk hint (see [`crate::walk`]):
+    /// the hinted way first, the ordinary access when that way does not
+    /// hold the line, with the hint refreshed from where the line ends
+    /// up.
+    #[inline]
+    pub(crate) fn read_hinted(&mut self, addr: PhysAddr, hint: &WayHint) -> AccessOutcome {
+        let set = self.geom.set_index(addr);
+        let tag = self.geom.tag(addr);
+        let (slice, way) = hint.get();
+        if let Some(shard) = self.shards.get_mut(slice) {
+            if shard.holds(set, way, tag) {
+                shard.read_hit(self.mode, set, way, tag);
+                return AccessOutcome {
+                    hit: true,
+                    ..AccessOutcome::default()
+                };
+            }
+        }
+        let slice = self.hash.slice_of(addr);
+        let (out, way) = self.shards[slice].read(self.mode, set, tag);
+        if let Some(way) = way {
+            hint.set(slice, way);
+        }
+        out
+    }
+
+    /// The bulk arm of a hinted walk: when every line's hint matches in
+    /// one (slice, set), applies the walk's hits at once, touching the
+    /// lines in `order` ([`Shard::read_hits`]), and returns `true`.
+    /// Otherwise nothing changes and the result is `false`.
+    pub(crate) fn read_hits_hinted(
+        &mut self,
+        lines: &[PhysAddr],
+        hints: &[WayHint],
+        order: impl Iterator<Item = usize> + Clone,
+    ) -> bool {
+        let geom = self.geom;
+        let Some(&first) = lines.first() else {
+            return false;
+        };
+        let set = geom.set_index(first);
+        let (slice, _) = hints[0].get();
+        let Some(shard) = self.shards.get_mut(slice) else {
+            return false;
+        };
+        // Checked in walk order: the line a walk most likely lost is
+        // the one the previous walk in the same direction touched
+        // first (its set's LRU line), so a failing check ends early.
+        for i in order.clone() {
+            let (addr, (hinted_slice, way)) = (lines[i], hints[i].get());
+            if hinted_slice != slice || geom.set_index(addr) != set {
+                return false;
+            }
+            // Fault site `unverified-walk-hint`: the bulk path takes a
+            // keyed line's hint on trust, so a walk whose keyed line
+            // was evicted counts it as a hit (and touches whatever now
+            // sits in its way). Keyed on the raw address.
+            if crate::fault::fires_keyed(crate::fault::FaultSite::UnverifiedWalkHint, addr.raw()) {
+                continue;
+            }
+            if !shard.holds(set, way, geom.tag(addr)) {
+                return false;
+            }
+        }
+        let touches = order.map(|i| (hints[i].get().1, geom.tag(lines[i])));
+        shard.read_hits(self.mode, set, touches, lines.len() as u64)
     }
 
     /// Runs a batch of [`CacheOp`]s and returns the aggregate outcome.

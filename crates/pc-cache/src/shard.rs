@@ -235,6 +235,93 @@ impl Shard {
         outcome
     }
 
+    // --- Hinted walks (see `crate::walk`). The CPU-read hit path and the
+    // adaptive period check below repeat what `access` does, so that
+    // `access` — the path every other replay takes — is left as it is.
+
+    /// Whether way `way` of local set `set` holds `tag` (a hinted walk's
+    /// check; see [`crate::WayHint`]).
+    #[inline]
+    pub(crate) fn holds(&self, set: usize, way: usize, tag: u64) -> bool {
+        self.store.holds(set, way, tag)
+    }
+
+    /// A CPU read of `tag` that the caller has found at `(set, way)`
+    /// ([`Shard::holds`]): exactly `access(mode, set, tag, CpuRead)`,
+    /// whose lookup would find the same way, without the scan.
+    #[inline]
+    pub(crate) fn read_hit(&mut self, mode: DdioMode, set: usize, way: usize, tag: u64) {
+        self.clock += 1;
+        self.touch_hit(set, way, tag);
+        self.stats.cpu_hits += 1;
+        self.end_tick(mode);
+    }
+
+    /// A CPU read of `tag` in local set `set` — `access(mode, set, tag,
+    /// CpuRead)` — also reporting the way the line sits in afterwards
+    /// (where a walk's hint should point next).
+    #[inline]
+    pub(crate) fn read(
+        &mut self,
+        mode: DdioMode,
+        set: usize,
+        tag: u64,
+    ) -> (AccessOutcome, Option<usize>) {
+        let out = self.access(mode, set, tag, AccessKind::CpuRead);
+        (out, self.store.lookup(set, tag))
+    }
+
+    /// `k` CPU reads that all hit in local set `set`, at the checked
+    /// `(way, tag)` pairs of `lines`, in order. Hits never evict, so
+    /// they are `k` [`Shard::read_hit`]s: the recency touches in walk
+    /// order, then `k` ticks and hits counted at once. That holds
+    /// unless an adaptive period boundary falls inside the `k` ticks;
+    /// then nothing is applied and the result is `false`.
+    pub(crate) fn read_hits(
+        &mut self,
+        mode: DdioMode,
+        set: usize,
+        lines: impl Iterator<Item = (usize, u64)>,
+        k: u64,
+    ) -> bool {
+        if let DdioMode::Adaptive(cfg) = mode {
+            if self.clock + k - self.adapt_last >= cfg.period {
+                return false;
+            }
+        }
+        for (way, tag) in lines {
+            self.touch_hit(set, way, tag);
+        }
+        self.clock += k;
+        self.stats.cpu_hits += k;
+        true
+    }
+
+    /// The recency touch of a walk's hit, with `cpu_access`'s
+    /// `stale-lru` fault hook.
+    #[inline]
+    fn touch_hit(&mut self, set: usize, way: usize, tag: u64) {
+        if !crate::fault::fires_keyed(crate::fault::FaultSite::StaleLru, tag) {
+            self.store.touch(set, way);
+        }
+    }
+
+    /// The adaptive period check that closes every access tick (the
+    /// tail of `access`).
+    #[inline]
+    fn end_tick(&mut self, mode: DdioMode) {
+        if let DdioMode::Adaptive(cfg) = mode {
+            if self.clock - self.adapt_last >= cfg.period
+                && !crate::fault::fires_keyed(
+                    crate::fault::FaultSite::SkippedDefenseEval,
+                    self.clock,
+                )
+            {
+                self.adapt(cfg);
+            }
+        }
+    }
+
     fn cpu_access(
         &mut self,
         mode: DdioMode,

@@ -198,6 +198,15 @@ impl LineStore {
             .position(|&w| w & !(DIRTY | IO) == key)
     }
 
+    /// Whether way `way` of `set` holds a valid line with `tag` — the
+    /// single-way version of [`LineStore::lookup`]'s compare. A way
+    /// past the associativity holds nothing.
+    #[inline]
+    pub(crate) fn holds(&self, set: usize, way: usize, tag: u64) -> bool {
+        way < self.ways
+            && self.lines[set * self.ways + way] & !(DIRTY | IO) == (tag << TAG_SHIFT) | VALID
+    }
+
     /// Records a recency touch of `(set, way)`.
     #[inline]
     pub(crate) fn touch(&mut self, set: usize, way: usize) {
@@ -359,16 +368,18 @@ impl LineStore {
             if let FlatReplacement::Lru { stamps, .. } = &self.repl {
                 // Fast path for the default policy: one fused pass over
                 // lines + stamps (eligibility and min-stamp together), no
-                // intermediate mask. Ties keep the lowest way, matching
-                // the mask walk and the original first-minimum scan.
+                // intermediate mask, the running minimum's stamp kept
+                // beside its way rather than reloaded. Ties keep the
+                // lowest way, matching the mask walk and the original
+                // first-minimum scan.
                 let stamps = &stamps[set * self.ways..(set + 1) * self.ways];
-                let mut best: Option<usize> = None;
-                for (w, &word) in lines.iter().enumerate() {
-                    if eligible(word, victims) && best.is_none_or(|b| stamps[w] < stamps[b]) {
-                        best = Some(w);
+                let mut best: Option<(usize, u32)> = None;
+                for (w, (&word, &stamp)) in lines.iter().zip(stamps).enumerate() {
+                    if eligible(word, victims) && best.is_none_or(|(_, min)| stamp < min) {
+                        best = Some((w, stamp));
                     }
                 }
-                best
+                best.map(|(w, _)| w)
             } else {
                 let mask = eligibility_mask(lines, victims);
                 self.repl.victim(set, self.ways, rng, mask)

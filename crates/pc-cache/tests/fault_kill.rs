@@ -15,8 +15,8 @@
 //! The four rx-engine sites (`dropped-deferred-read`,
 //! `burst-flush-elision`, `swapped-segment-subtotal`,
 //! `stale-deferred-segment-index`) live above this crate; their kill
-//! tests are `crates/core/tests/fault_kill_rx.rs`. The monitor site
-//! (`cross-epoch-misclassify`) is killed by
+//! tests are `crates/core/tests/fault_kill_rx.rs`. The walk site
+//! (`unverified-walk-hint`) is killed by
 //! `crates/pc-probe/tests/fault_kill_probe.rs`.
 
 use pc_cache::fault::{self, FaultSite, FaultSpec};

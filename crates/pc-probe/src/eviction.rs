@@ -156,8 +156,10 @@ pub fn build_eviction_sets_for_index(
 /// index that hash to its slice.
 ///
 /// Cost: one pass over the pool per call to group it by set index, then
-/// a walk of one group per target — so callers batch all their targets
-/// into one call rather than calling once per target.
+/// one walk per distinct set index among the targets, hashing each
+/// address once into per-slice buckets (capped at `ways`) until every
+/// slice a target asks for at that index is full — so callers batch
+/// all their targets into one call rather than calling once per target.
 ///
 /// # Panics
 ///
@@ -172,22 +174,58 @@ pub fn oracle_eviction_sets(
     let ways = geom.ways();
     let hash = llc.slice_hash();
     let by_index = pool.pages_by_index(&geom);
-    targets
-        .iter()
-        .map(|t| {
-            let addrs: Vec<PhysAddr> = by_index
-                .addresses(t.set)
-                .filter(|a| hash.slice_of(*a) == t.slice)
-                .take(ways)
-                .collect();
+    // Target positions, grouped by set index (stable: ties keep target
+    // order, though the result does not depend on it).
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_by_key(|&i| targets[i].set);
+    let mut buckets: Vec<Vec<PhysAddr>> = vec![Vec::with_capacity(ways); geom.slices()];
+    let mut wanted = vec![false; geom.slices()];
+    let mut sets: Vec<Option<EvictionSet>> = vec![None; targets.len()];
+    for group in order.chunk_by(|&a, &b| targets[a].set == targets[b].set) {
+        for (bucket, want) in buckets.iter_mut().zip(&mut wanted) {
+            bucket.clear();
+            *want = false;
+        }
+        let mut unfilled = 0usize;
+        for &i in group {
+            let want = &mut wanted[targets[i].slice];
+            unfilled += usize::from(!*want);
+            *want = true;
+        }
+        for addr in by_index.addresses(targets[group[0]].set) {
+            if unfilled == 0 {
+                break;
+            }
+            let slice = hash.slice_of(addr);
+            let bucket = &mut buckets[slice];
+            if wanted[slice] && bucket.len() < ways {
+                bucket.push(addr);
+                unfilled -= usize::from(bucket.len() == ways);
+            }
+        }
+        for &i in group {
+            let t = targets[i];
+            let bucket = &buckets[t.slice];
             assert!(
-                addrs.len() == ways,
+                bucket.len() == ways,
                 "pool supplies only {}/{} addresses for {t}; allocate a larger pool",
-                addrs.len(),
+                bucket.len(),
                 ways
             );
-            EvictionSet::new(addrs)
-        })
+            // Grown by push, as collecting a filtered walk grows it:
+            // allocating each set at its final size up front (exact
+            // or rounded up) raised the benchmark worker's peak
+            // resident set by 0.3-0.9 MB through the heap layout of
+            // the long-lived spies.
+            let mut addrs = Vec::new();
+            for &a in bucket {
+                addrs.push(a);
+            }
+            sets[i] = Some(EvictionSet::new(addrs));
+        }
+    }
+    sets.into_iter()
+        .map(|set| set.expect("every target is in a group"))
         .collect()
 }
 
@@ -260,6 +298,21 @@ mod tests {
                 .expect("pool has spare addresses in this slice-set");
             assert!(evicts(&mut h, victim, g.addresses(), thr));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "larger pool")]
+    fn oracle_panics_when_one_target_of_a_group_is_short() {
+        // Two targets share set index 0; the pool serves none of the
+        // three, and the panic still names a target.
+        let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+        let pool = AddressPool::allocate(2, 1024);
+        let targets = [
+            SliceSet::new(0, 0),
+            SliceSet::new(5, 64),
+            SliceSet::new(3, 0),
+        ];
+        let _ = oracle_eviction_sets(h.llc(), &pool, &targets);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The PRIME+PROBE primitive over one eviction set.
 
 use crate::eviction::EvictionSet;
-use pc_cache::{CacheOp, Cycles, Hierarchy};
+use pc_cache::{Cycles, Hierarchy, WalkOrder, WayHint};
 
 /// Result of probing one eviction set.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
@@ -26,10 +26,18 @@ impl ProbeResult {
 /// re-walks them, timing each access. Probing in reverse order re-primes
 /// the set as a side effect (the classic zig-zag pattern), so steady-state
 /// monitoring is just repeated `probe` calls.
+///
+/// Both walks go through [`Hierarchy::walk`] with one [`WayHint`] per
+/// line, owned here and refreshed by every walk: after the first prime
+/// each read checks the way its line was last found in instead of
+/// hashing and scanning, and a walk that finds every line in place is
+/// applied in one step. Hints change the cost of a walk, never its
+/// result.
 #[derive(Clone, Debug)]
 pub struct PrimeProbe {
     set: EvictionSet,
     threshold: Cycles,
+    hints: Vec<WayHint>,
 }
 
 impl PrimeProbe {
@@ -37,7 +45,12 @@ impl PrimeProbe {
     /// `threshold` cycles as misses (see
     /// [`crate::calibrate_threshold`]).
     pub fn new(set: EvictionSet, threshold: Cycles) -> Self {
-        PrimeProbe { set, threshold }
+        let hints = vec![WayHint::default(); set.len()];
+        PrimeProbe {
+            set,
+            threshold,
+            hints,
+        }
     }
 
     /// The underlying eviction set.
@@ -45,65 +58,34 @@ impl PrimeProbe {
         &self.set
     }
 
-    /// The priming walk as an op stream (forward order) — **the** walk
-    /// definition, shared by [`PrimeProbe::prime`], fused multi-target
-    /// primes (`Monitor::prime_all` concatenates every target's walk
-    /// into one batch) and the probe's reverse pass, so traversal order
-    /// lives in one place.
-    pub fn prime_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
-        self.set.addresses().iter().map(|&a| CacheOp::read(a))
-    }
-
-    /// The probing walk: the same lines in reverse (re-priming as it
-    /// goes — the classic zig-zag). Crate-visible so the monitor's
-    /// fused multi-target sample can concatenate many targets' walks
-    /// into one segmented batch.
-    pub(crate) fn probe_ops(&self) -> impl Iterator<Item = CacheOp> + '_ {
-        self.set.addresses().iter().rev().map(|&a| CacheOp::read(a))
-    }
-
-    /// Whether the batch fast path can classify this instance's probe
-    /// from aggregates alone under `lat`: the latency model separates
-    /// hit from miss at the threshold (`llc_hit < threshold ≤ dram` —
-    /// true for every calibrated threshold), so per-access timing
-    /// recovers exactly as `misses = accesses − hits`. The single
-    /// definition behind [`PrimeProbe::probe`]'s fast path and the
-    /// monitor's fused sample.
-    pub(crate) fn batch_separable(&self, lat: pc_cache::LatencyModel) -> bool {
-        lat.llc_hit < self.threshold && lat.dram >= self.threshold
-    }
-
-    /// Fills the target set with the spy's lines.
-    ///
-    /// Primes don't need per-access latencies, so the walk goes through
-    /// the batch trace API ([`Hierarchy::run_trace`]) — identical cache
-    /// and clock behaviour to per-address `cpu_read`s, less call
-    /// overhead.
+    /// Fills the target set with the spy's lines: a forward walk, with
+    /// the same cache and clock behaviour as per-address `cpu_read`s.
     pub fn prime(&self, h: &mut Hierarchy) {
-        h.run_trace(self.prime_ops());
+        h.walk(self.set.addresses(), &self.hints, WalkOrder::Forward);
     }
 
     /// Times a pass over the set (in reverse, re-priming as it goes).
     ///
     /// When the hierarchy's latency model separates hit from miss at
     /// this instance's threshold (`llc_hit < threshold ≤ dram` — true
-    /// for every calibrated threshold), the pass is a batch replay:
-    /// the per-access classification is recovered exactly from the
-    /// aggregate (`misses = accesses − hits`), byte-identical to timing
+    /// for every calibrated threshold), the pass is a hinted walk and
+    /// the per-access classification is recovered exactly from its
+    /// summary (`misses = accesses − hits`), byte-identical to timing
     /// each access. A threshold that splits the model ambiguously falls
     /// back to the per-access oracle walk.
     pub fn probe(&self, h: &mut Hierarchy) -> ProbeResult {
         let lat = h.latencies();
-        if self.batch_separable(lat) {
-            let sum = h.run_trace(self.probe_ops());
+        let lines = self.set.addresses();
+        if lat.llc_hit < self.threshold && lat.dram >= self.threshold {
+            let sum = h.walk(lines, &self.hints, WalkOrder::Reverse);
             return ProbeResult {
                 misses: (sum.accesses - sum.hits) as u32,
                 total_latency: sum.cycles,
             };
         }
         let mut result = ProbeResult::default();
-        for op in self.probe_ops() {
-            let lat = h.cpu_read(op.addr);
+        for &addr in lines.iter().rev() {
+            let lat = h.cpu_read(addr);
             result.total_latency += lat;
             if lat >= self.threshold {
                 result.misses += 1;
@@ -166,7 +148,7 @@ mod tests {
 
     #[test]
     fn batched_probe_matches_per_access_timing() {
-        // The batch replay recovers the per-access classification from
+        // The hinted walk recovers the per-access classification from
         // the aggregate; a hand-timed reverse walk on a cloned machine
         // must agree in misses, total latency and final clock.
         let (mut h, pp, victim) = setup();

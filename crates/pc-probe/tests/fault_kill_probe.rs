@@ -1,19 +1,24 @@
-//! Kill test for the monitor-level fault site:
-//! `cross-epoch-misclassify` inverts one keyed target's classification
-//! in the fused multi-target sample (`Monitor::sample_misses`), and
-//! the fused ↔ per-target differential must notice for every seed.
+//! Kill test for the walk-level fault site: `unverified-walk-hint`
+//! lets a hinted walk's bulk path take one keyed line's way hint on
+//! trust, and the hinted ↔ per-access differential must notice for
+//! every seed.
 //!
-//! The detector monitors 32 distinct sets — every keyed modulus in the
-//! fault catalog (5..=13) fires within the first 32 keys — and
-//! compares each fused sample row against per-target probing on a
-//! cloned machine. The per-target path classifies from its own batch
-//! aggregate and never consults the fused hook, so it is the oracle;
-//! clock and LLC statistics are compared too, pinning that the fused
-//! walk is pure scheduling. The no-fault run of the same detector is
-//! the negative control (and one more fusion-equivalence regression).
+//! The detector monitors 64 distinct sets and runs the monitor's
+//! hinted walks (`Monitor::prime_all`, `Monitor::sample_misses`)
+//! against the same reads issued one at a time with `cpu_read` on a
+//! clone taken before the first prime. Between samples the NIC writes
+//! to a rotating third of the victims and a foreign CPU read lands on
+//! a rotating fifth, each evicting one primed line. Odd rounds re-prime
+//! first, so the evicted line is the first of the set rather than the
+//! last: 128 distinct stale lines in all, enough that every keyed
+//! modulus in the catalog (5..=13) hits one. The rows, clock, memory
+//! traffic and LLC statistics are compared after every step. The
+//! per-access reads never consult the walk hooks, so they are the
+//! oracle; the no-fault run of the same detector is the negative
+//! control.
 
 use pc_cache::fault::{self, FaultSite, FaultSpec};
-use pc_cache::{CacheGeometry, DdioMode, PhysAddr};
+use pc_cache::{CacheGeometry, DdioMode, Hierarchy, PhysAddr, SliceSet};
 use pc_probe::{oracle_eviction_sets, AddressPool, Monitor, MonitorTarget};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -25,76 +30,111 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Runs the fused ↔ per-target differential and returns the first
+/// The first observable difference between the walked machine and the
+/// per-access one, if any.
+fn differs(walked: &Hierarchy, oracle: &Hierarchy) -> Option<&'static str> {
+    if walked.now() != oracle.now() {
+        return Some("clock");
+    }
+    if walked.memory_stats() != oracle.memory_stats() {
+        return Some("memory traffic");
+    }
+    if walked.llc().stats() != oracle.llc().stats() {
+        return Some("LLC stats");
+    }
+    None
+}
+
+/// Runs the hinted ↔ per-access differential and returns the first
 /// divergence, if any.
 fn detect() -> Option<String> {
-    let mut h = pc_cache::Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+    let mut h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
     let pool = AddressPool::allocate(6, 16384);
     let mut victims: Vec<PhysAddr> = Vec::new();
-    let mut targets = Vec::new();
-    for page in 0..4000u64 {
-        if targets.len() >= 32 {
+    let mut sets: Vec<SliceSet> = Vec::new();
+    for page in 0..8000u64 {
+        if sets.len() >= 64 {
             break;
         }
         let v = PhysAddr::new(page * 4096);
         let ss = h.llc().locate(v);
-        if victims.iter().any(|&p| h.llc().locate(p) == ss) {
-            continue;
+        if !sets.contains(&ss) {
+            sets.push(ss);
+            victims.push(v);
         }
-        let set = oracle_eviction_sets(h.llc(), &pool, &[ss]).remove(0);
-        targets.push(MonitorTarget::new(
-            targets.len(),
-            set,
-            h.latencies().miss_threshold(),
-        ));
-        victims.push(v);
     }
-    let m = Monitor::new(targets);
-    m.prime_all(&mut h);
-    let _ = m.sample_misses(&mut h); // settle the primed state
-    for round in 0..3usize {
-        // NIC writes on a rotating third of the victims, so rows mix
-        // active and idle columns — an inverted column diverges either
-        // way (idle: 0 vs associativity; active: k vs accesses − k).
-        for (i, &v) in victims.iter().enumerate() {
-            if i % 3 == round {
-                h.io_write(v);
+    let threshold = h.latencies().miss_threshold();
+    let m = Monitor::new(
+        oracle_eviction_sets(h.llc(), &pool, &sets)
+            .into_iter()
+            .enumerate()
+            .map(|(i, set)| MonitorTarget::new(i, set, threshold))
+            .collect(),
+    );
+    let mut oracle = h.clone();
+    let prime = |h: &mut Hierarchy, oracle: &mut Hierarchy| {
+        m.prime_all(h);
+        for t in m.targets() {
+            for &a in t.probe.eviction_set().addresses() {
+                oracle.cpu_read(a);
             }
         }
-        let mut oracle = h.clone();
-        let fused = m.sample_misses(&mut h);
-        let split: Vec<u32> = m
+    };
+    prime(&mut h, &mut oracle);
+    if let Some(d) = differs(&h, &oracle) {
+        return Some(format!("{d} after the first prime"));
+    }
+    for round in 0..6usize {
+        if round % 2 == 1 {
+            prime(&mut h, &mut oracle);
+        }
+        for (i, &v) in victims.iter().enumerate() {
+            if i % 3 == round % 3 {
+                h.io_write(v);
+                oracle.io_write(v);
+            }
+            if i % 5 == round % 5 {
+                h.cpu_read(v);
+                oracle.cpu_read(v);
+            }
+        }
+        let walked = m.sample_misses(&mut h);
+        let per_access: Vec<u32> = m
             .targets()
             .iter()
-            .map(|t| t.probe.probe(&mut oracle).misses)
+            .map(|t| {
+                let lines = t.probe.eviction_set().addresses();
+                lines
+                    .iter()
+                    .rev()
+                    .filter(|&&a| oracle.cpu_read(a) >= threshold)
+                    .count() as u32
+            })
             .collect();
-        if fused != split {
-            return Some(format!("fused sample row diverged (round {round})"));
+        if walked != per_access {
+            return Some(format!("sample row diverged (round {round})"));
         }
-        if h.now() != oracle.now() {
-            return Some(format!("clock after fused sample (round {round})"));
-        }
-        if h.llc().stats() != oracle.llc().stats() {
-            return Some(format!("LLC stats after fused sample (round {round})"));
+        if let Some(d) = differs(&h, &oracle) {
+            return Some(format!("{d} after the sample (round {round})"));
         }
     }
     None
 }
 
 #[test]
-fn cross_epoch_misclassify_is_killed_for_every_seed() {
+fn unverified_walk_hint_is_killed_for_every_seed() {
     let _g = serialized();
     let mut survivors = Vec::new();
     for seed in 0..4u64 {
         fault::arm(FaultSpec {
-            site: FaultSite::CrossEpochMisclassify,
+            site: FaultSite::UnverifiedWalkHint,
             seed,
             nth: None,
         });
         let outcome = catch_unwind(AssertUnwindSafe(detect));
         fault::disarm();
         if matches!(outcome, Ok(None)) {
-            survivors.push(format!("cross-epoch-misclassify:{seed} survived"));
+            survivors.push(format!("unverified-walk-hint:{seed} survived"));
         }
     }
     assert!(
@@ -104,10 +144,10 @@ fn cross_epoch_misclassify_is_killed_for_every_seed() {
     );
 }
 
-/// Negative control: no fault armed → the fused sample is
-/// byte-identical to per-target probing.
+/// Negative control: no fault armed → the hinted walks are
+/// byte-identical to per-access reads.
 #[test]
-fn fused_and_per_target_agree_with_no_fault_armed() {
+fn hinted_and_per_access_agree_with_no_fault_armed() {
     let _g = serialized();
     fault::disarm();
     assert_eq!(detect(), None);

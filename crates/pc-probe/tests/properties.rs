@@ -42,6 +42,38 @@ proptest! {
         }
     }
 
+    /// The grouped construction equals the per-target filter it
+    /// replaced — each target's first `ways` pool addresses at its set
+    /// index that hash to its slice — on unsorted target lists with
+    /// repeats, drawn from at most three set indices so that many
+    /// slices share one index.
+    #[test]
+    fn grouped_oracle_sets_equal_the_per_target_filter(
+        indices in proptest::collection::vec(0usize..2048, 1..4),
+        picks in proptest::collection::vec((0usize..8, 0usize..3), 1..40),
+        seed in 0u64..100,
+    ) {
+        let h = Hierarchy::new(CacheGeometry::xeon_e5_2660(), DdioMode::enabled());
+        let geom = h.llc().geometry();
+        let hash = h.llc().slice_hash();
+        let pool = AddressPool::allocate(seed, 12288);
+        let targets: Vec<SliceSet> = picks
+            .iter()
+            .map(|&(slice, k)| SliceSet::new(slice, indices[k % indices.len()]))
+            .collect();
+        let sets = oracle_eviction_sets(h.llc(), &pool, &targets);
+        prop_assert_eq!(sets.len(), targets.len());
+        for (set, t) in sets.iter().zip(&targets) {
+            let filtered: Vec<PhysAddr> = pool
+                .addresses_with_index(&geom, t.set)
+                .into_iter()
+                .filter(|&a| hash.slice_of(a) == t.slice)
+                .take(geom.ways())
+                .collect();
+            prop_assert_eq!(set.addresses(), &filtered[..]);
+        }
+    }
+
     /// A primed set detects exactly the I/O writes aimed at it: activity
     /// after a hit on the monitored set, silence for misses elsewhere.
     #[test]
